@@ -530,7 +530,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   // (db/exec/topk.h) merge deterministically; per-block score upper bounds
   // (db/exec/rank_bounds.h + SimScorer::ComputeBlockBounds) let whole 1024-
   // row blocks be skipped once the shared threshold rises above their best
-  // possible score; both sweeps fan out on the exec morsel scheduler.
+  // possible score, and order the visits best bound first so it rises
+  // early; both sweeps fan out on the exec morsel scheduler.
   // Requires the id-keyed SimScorer; the string-keyed oracle path keeps the
   // serial shape below.
   if (options.use_topk_rank && scorer.has_value()) {
@@ -595,10 +596,55 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
       }
     };
 
+    // One unit of sweep work: rows [lo, hi) of rank block `block` — the
+    // block's row range in the single-condition sweep, a slice of the
+    // row-ordered candidate list in an N-1 pass.
+    struct Run {
+      std::size_t block, lo, hi;
+    };
+    std::vector<Run> runs;
+    // The one visit loop both sweeps share. With bounds, runs are visited
+    // best bound first (ties by block), so the threshold is near final
+    // before weak blocks come up. The top-k answer does not depend on visit
+    // order (db/exec/topk.h), and a run is skipped only when its bound is
+    // STRICTLY below the live threshold (an equal-score smaller-row
+    // candidate can still displace the k-th entry). One run per morsel:
+    // serial and parallel sweeps both walk that order. `gather` appends a
+    // visited run's rows to the slot's scratch, which score_and_push leaves
+    // empty. Returns false when the deadline cut the sweep short.
+    auto sweep = [&](bool prunable, std::size_t dropped, bool require_positive,
+                     bool parallel, const auto& gather) {
+      if (prunable) {
+        std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
+          if (ub[a.block] != ub[b.block]) return ub[a.block] > ub[b.block];
+          return a.block < b.block;
+        });
+      }
+      auto body = [&](std::size_t i) {
+        const Run& run = runs[i];
+        const std::size_t s_idx = slots.Acquire();
+        RankSlots::Slot& sl = slots.slot(s_idx);
+        if (prunable &&
+            ((require_positive && ub[run.block] <= 0.0) ||
+             exact_part + ub[run.block] <
+                 shared_threshold.load(std::memory_order_relaxed))) {
+          ++sl.blocks_skipped;
+          sl.rows_pruned += run.hi - run.lo;
+        } else {
+          ++sl.blocks_visited;
+          gather(run, &sl.rows);
+          score_and_push(sl, dropped, require_positive);
+        }
+        slots.Release(s_idx);
+      };
+      return db::exec::RunMorsels(runs.size(), parallel ? par : 1,
+                                  parallel ? runner : nullptr, body, &control);
+    };
+
     if (units.size() >= 2) {
       // N-1 relaxation passes stay SEQUENTIAL and dedup in row order — the
       // first pass that reaches a row owns its measure label, exactly like
-      // the serial path. Only the scoring inside a pass fans out.
+      // the serial path. Only the scoring inside a pass is reordered.
       std::vector<db::RowId> cand_base, cand_delta;
       for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
         if (control.Expired()) {
@@ -631,49 +677,31 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           already.Set(row);
           (row < base_rows ? cand_base : cand_delta).push_back(row);
         }
+        // Candidates arrive in row order, so same-block runs are contiguous.
+        runs.clear();
+        for (std::size_t i = 0; i < cand_base.size();) {
+          const std::size_t b = cand_base[i] / db::exec::kRankBlockRows;
+          std::size_t j = i + 1;
+          while (j < cand_base.size() &&
+                 cand_base[j] / db::exec::kRankBlockRows == b) {
+            ++j;
+          }
+          runs.push_back(Run{b, i, j});
+          i = j;
+        }
         const bool prunable =
             rb != nullptr && cand_base.size() >= kMinRankRowsForBounds &&
             scorer->ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
-        constexpr std::size_t kChunkRows = 2048;
-        const std::size_t n_chunks =
-            (cand_base.size() + kChunkRows - 1) / kChunkRows;
         const bool par_pass = runner != nullptr &&
                               cand_base.size() >=
                                   db::exec::kMinRowsForParallelExec;
-        auto body = [&, dropped](std::size_t c) {
-          const std::size_t s_idx = slots.Acquire();
-          RankSlots::Slot& sl = slots.slot(s_idx);
-          sl.rows.clear();
-          const std::size_t lo = c * kChunkRows;
-          const std::size_t hi =
-              std::min(lo + kChunkRows, cand_base.size());
-          std::size_t i = lo;
-          while (i < hi) {
-            // Candidates arrive in row order, so same-block runs are
-            // contiguous; prune run-at-a-time against the shared threshold.
-            const std::size_t b = cand_base[i] / db::exec::kRankBlockRows;
-            std::size_t j = i + 1;
-            while (j < hi && cand_base[j] / db::exec::kRankBlockRows == b) {
-              ++j;
-            }
-            if (prunable &&
-                exact_part + ub[b] <
-                    shared_threshold.load(std::memory_order_relaxed)) {
-              ++sl.blocks_skipped;
-              sl.rows_pruned += j - i;
-            } else {
-              ++sl.blocks_visited;
-              sl.rows.insert(sl.rows.end(), cand_base.begin() + i,
-                             cand_base.begin() + j);
-            }
-            i = j;
-          }
-          score_and_push(sl, dropped, /*require_positive=*/false);
-          slots.Release(s_idx);
-        };
-        if (!db::exec::RunMorsels(n_chunks, par_pass ? par : 1,
-                                  par_pass ? runner : nullptr, body,
-                                  &control)) {
+        const bool finished = sweep(
+            prunable, dropped, /*require_positive=*/false, par_pass,
+            [&](const Run& run, std::vector<db::RowId>* rows) {
+              rows->insert(rows->end(), cand_base.begin() + run.lo,
+                           cand_base.begin() + run.hi);
+            });
+        if (!finished) {
           degraded = true;
           break;
         }
@@ -682,53 +710,33 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
         }
       }
     } else {
-      // Single-condition full-table sweep, block-at-a-time. A block whose
-      // bound cannot reach the threshold (STRICT compare — an equal-score
-      // smaller-row candidate can still displace the k-th entry) or cannot
-      // produce a positive similarity is skipped without gathering a row.
-      const bool prunable = rb != nullptr &&
-                            base_rows >= kMinRankRowsForBounds &&
-                            scorer->ComputeBlockBounds(*rt.table, *rb, 0, &ub);
+      // Single-condition full-table sweep, block at a time. A block that
+      // cannot produce a positive similarity is skipped like one whose
+      // bound cannot reach the threshold.
       const std::size_t nb =
           (base_rows + db::exec::kRankBlockRows - 1) /
           db::exec::kRankBlockRows;
-      constexpr std::size_t kBlocksPerMorsel = 4;
-      const std::size_t n_morsels =
-          (nb + kBlocksPerMorsel - 1) / kBlocksPerMorsel;
+      runs.reserve(nb);
+      for (std::size_t b = 0; b < nb; ++b) {
+        runs.push_back(Run{b, b * db::exec::kRankBlockRows,
+                           std::min((b + 1) * db::exec::kRankBlockRows,
+                                    base_rows)});
+      }
+      const bool prunable = rb != nullptr &&
+                            base_rows >= kMinRankRowsForBounds &&
+                            scorer->ComputeBlockBounds(*rt.table, *rb, 0, &ub);
       const bool par_sweep =
           runner != nullptr &&
           base_rows >= db::exec::kMinRowsForParallelExec;
-      auto body = [&](std::size_t m) {
-        const std::size_t s_idx = slots.Acquire();
-        RankSlots::Slot& sl = slots.slot(s_idx);
-        const std::size_t b_lo = m * kBlocksPerMorsel;
-        const std::size_t b_hi = std::min(b_lo + kBlocksPerMorsel, nb);
-        for (std::size_t b = b_lo; b < b_hi; ++b) {
-          const db::RowId r_lo =
-              static_cast<db::RowId>(b * db::exec::kRankBlockRows);
-          const db::RowId r_hi = static_cast<db::RowId>(
-              std::min((b + 1) * db::exec::kRankBlockRows, base_rows));
-          if (prunable) {
-            const double t =
-                shared_threshold.load(std::memory_order_relaxed);
-            if (ub[b] <= 0.0 || ub[b] < t) {
-              ++sl.blocks_skipped;
-              sl.rows_pruned += r_hi - r_lo;
-              continue;
-            }
-          }
-          ++sl.blocks_visited;
-          sl.rows.clear();
-          for (db::RowId r = r_lo; r < r_hi; ++r) {
-            if (!already.Test(r) && is_live(r)) sl.rows.push_back(r);
-          }
-          score_and_push(sl, 0, /*require_positive=*/true);
-        }
-        slots.Release(s_idx);
-      };
-      if (!db::exec::RunMorsels(n_morsels, par_sweep ? par : 1,
-                                par_sweep ? runner : nullptr, body,
-                                &control)) {
+      if (!sweep(prunable, 0, /*require_positive=*/true, par_sweep,
+                 [&](const Run& run, std::vector<db::RowId>* rows) {
+                   for (std::size_t r = run.lo; r < run.hi; ++r) {
+                     const auto row = static_cast<db::RowId>(r);
+                     if (!already.Test(row) && is_live(row)) {
+                       rows->push_back(row);
+                     }
+                   }
+                 })) {
         degraded = true;
       }
       if (delta != nullptr && !degraded) {

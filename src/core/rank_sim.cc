@@ -340,8 +340,16 @@ SimScorer::SimScorer(const db::Schema& schema,
           cs.value_toks = ElementToks(cond.value);
           break;
         case MatchUnit::Kind::kTypeIII:
-        case MatchUnit::Kind::kAmbiguous:
-          break;  // numeric: no string state
+        case MatchUnit::Kind::kAmbiguous: {
+          const std::size_t attr =
+              cond.attr == kNoAttr ? unit.attr : cond.attr;
+          cs.target = cond.op == db::CompareOp::kBetween
+                          ? (cond.lo + cond.hi) / 2.0
+                          : cond.lo;
+          cs.range =
+              attr < ctx.attr_ranges.size() ? ctx.attr_ranges[attr] : 0.0;
+          break;
+        }
       }
       u.conds.push_back(std::move(cs));
     }
@@ -497,6 +505,31 @@ void SimScorer::ScoreBlock(const db::Table& table, const db::RowId* rows,
   ref.table = &table;
 
   const std::size_t num_attrs = unit.read_attrs.size();
+  const MatchUnit::Kind kind = unit.unit->kind;
+  if ((kind == MatchUnit::Kind::kTypeIII ||
+       kind == MatchUnit::Kind::kAmbiguous) &&
+      num_attrs == 1) {
+    const auto& packed = table.store().numeric_column(unit.read_attrs[0]);
+    if (packed.size() == table.num_rows()) {
+      // Num_Sim straight from the packed doubles: prices are nearly all
+      // distinct, so a per-code memo would miss on almost every row. The
+      // arithmetic is UnitSimImpl's, term for term, so results are
+      // bit-identical; a NULL cell's NaN makes NumSim NaN, which std::max
+      // drops exactly as UnitSimImpl's non-numeric `continue` does
+      // (ValidateRecord admits only numeric values in numeric columns).
+      const double* vals = packed.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        const double v = vals[rows[i]];
+        double best = 0.0;
+        for (const CondSim& cs : unit.conds) {
+          best = std::max(best, NumSim(cs.target, v, cs.range));
+        }
+        rank_sims[i] = exact_part + best;
+        if (unit_sims != nullptr) unit_sims[i] = best;
+      }
+      return;
+    }
+  }
   if (num_attrs == 0 || num_attrs > 2) {
     // No cells read, or too wide for the u64 code-tuple key: score row by
     // row (question shapes never get here in practice — units read one or
@@ -590,15 +623,12 @@ bool SimScorer::ComputeBlockBounds(const db::Table& table,
       const std::size_t attr = c.attr == kNoAttr ? unit.unit->attr : c.attr;
       const auto& ab = bounds.attr(attr);
       if (ab.val_min.empty()) continue;  // text column: never numeric
-      const double target =
-          c.op == db::CompareOp::kBetween ? (c.lo + c.hi) / 2.0 : c.lo;
-      const double range =
-          attr < ctx_->attr_ranges.size() ? ctx_->attr_ranges[attr] : 0.0;
       for (std::size_t b = 0; b < nb; ++b) {
         if (ab.val_min[b] > ab.val_max[b]) continue;  // no numeric values
-        const double peak = std::clamp(target, ab.val_min[b], ab.val_max[b]);
+        const double peak =
+            std::clamp(cs.target, ab.val_min[b], ab.val_max[b]);
         (*out_bounds)[b] =
-            std::max((*out_bounds)[b], NumSim(target, peak, range));
+            std::max((*out_bounds)[b], NumSim(cs.target, peak, cs.range));
       }
     }
     return true;

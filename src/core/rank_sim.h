@@ -103,14 +103,20 @@ class SimScorer {
                      std::size_t dropped_unit);
 
   /// Batched Eq. 5 over BASE-table rows for one dropped unit: fills
-  /// rank_sims[i] (and unit_sims[i] when non-null) for rows[i]. A unit's
-  /// similarity is a pure function of the row's dictionary codes on the
-  /// unit's read attributes (same codes → same cells → same elements), so
-  /// scores are memoized per distinct code tuple when the unit reads at
-  /// most two attributes — byte-identical to Score() row by row, with the
-  /// RowRef adapter, memo probes, and measure-string composition hoisted
-  /// out of the candidate loop. RankStage's full-table and relaxation
-  /// sweeps use this under EngineOptions::use_vector_kernels.
+  /// rank_sims[i] (and unit_sims[i] when non-null) for rows[i], bit-identical
+  /// to Score() row by row. Two kernels:
+  ///   * a numeric (Type III / ambiguous) unit reading one numeric attribute
+  ///     computes max over its conditions of Num_Sim straight from the
+  ///     column's packed doubles — no memo (prices rarely repeat, so a
+  ///     per-code memo would miss and allocate on nearly every row); a NULL
+  ///     cell's NaN scores 0, as in Score();
+  ///   * every other unit's similarity is a pure function of the row's
+  ///     dictionary codes on the unit's read attributes (same codes → same
+  ///     cells → same elements), so scores are memoized per distinct code
+  ///     tuple when the unit reads at most two attributes.
+  /// The RowRef adapter and measure-string composition are hoisted out of
+  /// the candidate loop. RankStage's full-table and relaxation sweeps use
+  /// this under EngineOptions::use_vector_kernels.
   void ScoreBlock(const db::Table& table, const db::RowId* rows,
                   std::size_t n, std::size_t dropped_unit, double* rank_sims,
                   double* unit_sims);
@@ -132,8 +138,13 @@ class SimScorer {
   /// Numeric units are bounded exactly: Num_Sim (Eq. 4) is unimodal in the
   /// record value, peaking where the value equals the question's target, so
   /// the block's bound is Num_Sim at the target clamped into the block's
-  /// [val_min, val_max]. Representative-row similarities are inserted into
-  /// the ScoreBlock memo, so visited blocks never recompute them.
+  /// [val_min, val_max]; they touch no memo. For identity / Type II units the
+  /// representative-row similarities are inserted into the ScoreBlock memo,
+  /// so visited blocks never recompute them.
+  ///
+  /// RankStage uses the bounds twice: to order its visits best bound first
+  /// (so the top-k threshold is near final before weak blocks come up) and
+  /// to skip blocks whose bound falls strictly below that threshold.
   bool ComputeBlockBounds(const db::Table& table,
                           const db::exec::RankBounds& bounds,
                           std::size_t dropped_unit,
@@ -165,6 +176,8 @@ class SimScorer {
     const Condition* cond = nullptr;
     ValueToks value_toks;               ///< Type II: tokenized c.value
     text::TermId ti_id = text::kInvalidTerm;  ///< Type I: resolved c.value
+    double target = 0.0;  ///< numeric: Eq. 4 target (a range's midpoint)
+    double range = 0.0;   ///< numeric: AttributeValueRange of the attribute
   };
   /// Precomputed question-side state of one unit.
   struct UnitSim {
@@ -194,7 +207,8 @@ class SimScorer {
   std::unordered_map<std::string, ValueToks> element_toks_;
   std::unordered_map<std::string, text::TermId> ti_ids_;
   /// Per unit: similarity by the code tuple of the unit's read attributes
-  /// (ScoreBlock only; (c0 << 32) | c1, or c0 for single-attribute units).
+  /// (ScoreBlock only, never for units the packed numeric kernel serves;
+  /// (c0 << 32) | c1, or c0 for single-attribute units).
   std::vector<std::unordered_map<std::uint64_t, double>> unit_memo_;
 };
 

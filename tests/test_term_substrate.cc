@@ -1,9 +1,14 @@
 // The interned-term substrate: TermDict semantics, id-vs-string equivalence
 // of the WS and TI similarity matrices, SimScorer-vs-seed Eq. 5 scoring,
-// and engine-level byte-parity of the whole ask path with the substrate on
-// vs off across all eight datagen domains.
+// SimScorer::ScoreBlock's packed numeric kernel vs row-by-row Score() on
+// adversarial cells, and engine-level byte-parity of the whole ask path
+// with the substrate on vs off across all eight datagen domains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include "common/rng.h"
@@ -203,6 +208,137 @@ TEST_F(SubstrateWorldTest, TiIdLookupsMatchStringLookups) {
       EXPECT_LT(a, b);
       EXPECT_DOUBLE_EQ(ti.Sim(a, b), sim);
     }
+  }
+}
+
+// ---- SimScorer::ScoreBlock vs Score(), bit for bit ------------------------
+
+std::uint64_t Bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+/// make (text), price and year (numeric); price holds NULL cells, a NaN
+/// cell, integers and reals, so every numeric-kernel input shape occurs.
+db::Table KernelTable() {
+  db::Attribute make;
+  make.name = "make";
+  make.attr_type = db::AttrType::kTypeI;
+  make.data_kind = db::DataKind::kCategorical;
+  db::Attribute price;
+  price.name = "price";
+  price.attr_type = db::AttrType::kTypeIII;
+  price.data_kind = db::DataKind::kNumeric;
+  db::Attribute year = price;
+  year.name = "year";
+  db::Table table(db::Schema("cars", {make, price, year}));
+  const char* makes[] = {"honda", "toyota", "ford"};
+  for (int i = 0; i < 60; ++i) {
+    db::Value p = db::Value::Real(3000.0 + 251.37 * i);
+    if (i % 7 == 3) p = db::Value::Null();
+    if (i % 5 == 1) p = db::Value::Int(2000 + 300 * i);
+    if (i == 11) p = db::Value::Real(std::numeric_limits<double>::quiet_NaN());
+    const db::Value y =
+        i % 9 == 4 ? db::Value::Null() : db::Value::Int(1995 + i % 20);
+    EXPECT_TRUE(
+        table.Insert({db::Value::Text(makes[i % 3]), std::move(p), y}).ok());
+  }
+  return table;
+}
+
+TEST(SimScorerKernelTest, ScoreBlockMatchesScoreBitForBit) {
+  const db::Table table = KernelTable();
+  constexpr std::size_t kMake = 0, kPrice = 1, kYear = 2;
+  using Kind = core::MatchUnit::Kind;
+  auto cond = [](std::size_t attr, db::CompareOp op, double lo,
+                 double hi = 0.0) {
+    core::Condition c;
+    c.kind = core::Condition::Kind::kTypeIIIBound;
+    c.attr = attr;
+    c.op = op;
+    c.lo = lo;
+    c.hi = hi;
+    return c;
+  };
+  auto unit = [](Kind kind, std::size_t attr,
+                 std::vector<core::Condition> conds) {
+    core::MatchUnit u;
+    u.kind = kind;
+    u.attr = attr;
+    u.conds = std::move(conds);
+    return u;
+  };
+  struct Case {
+    const char* name;
+    core::MatchUnit unit;
+    std::vector<double> ranges;  ///< attr_ranges by attribute
+  };
+  const std::vector<double> ranges = {0.0, 9000.0, 12.0};
+  const std::vector<Case> cases = {
+      {"eq target", unit(Kind::kTypeIII, kPrice,
+                         {cond(kPrice, db::CompareOp::kEq, 7000)}),
+       ranges},
+      {"between target", unit(Kind::kTypeIII, kPrice,
+                              {cond(kPrice, db::CompareOp::kBetween, 5000,
+                                    12500)}),
+       ranges},
+      {"several conds", unit(Kind::kAmbiguous, kPrice,
+                             {cond(kPrice, db::CompareOp::kLe, 4000),
+                              cond(kPrice, db::CompareOp::kGe, 15000),
+                              cond(kPrice, db::CompareOp::kBetween, 8000,
+                                   8100)}),
+       ranges},
+      {"kNoAttr conds", unit(Kind::kAmbiguous, kPrice,
+                             {cond(core::kNoAttr, db::CompareOp::kEq, 9100),
+                              cond(core::kNoAttr, db::CompareOp::kLt, 2500)}),
+       ranges},
+      {"text attribute", unit(Kind::kTypeIII, kMake,
+                              {cond(kMake, db::CompareOp::kEq, 7000)}),
+       {5.0, 9000.0, 12.0}},
+      {"zero range", unit(Kind::kTypeIII, kPrice,
+                          {cond(kPrice, db::CompareOp::kEq, 7000)}),
+       {0.0, 0.0, 12.0}},
+      {"negative range", unit(Kind::kTypeIII, kPrice,
+                              {cond(kPrice, db::CompareOp::kEq, 7000)}),
+       {0.0, -40.0, 12.0}},
+      {"two attributes", unit(Kind::kAmbiguous, kPrice,
+                              {cond(kPrice, db::CompareOp::kEq, 7000),
+                               cond(kYear, db::CompareOp::kEq, 2004)}),
+       ranges},
+  };
+
+  // Every row, in a scrambled order with repeats: ScoreBlock must not
+  // depend on row order or on what an earlier call memoized.
+  std::vector<db::RowId> rows;
+  for (db::RowId r = 0; r < table.num_rows(); ++r) rows.push_back(r);
+  std::mt19937 shuffle(17);
+  std::shuffle(rows.begin(), rows.end(), shuffle);
+  rows.insert(rows.end(), rows.begin(), rows.begin() + 20);
+
+  for (const Case& c : cases) {
+    core::SimilarityContext ctx;
+    ctx.attr_ranges = c.ranges;
+    // A second unit makes the (N-1) offset visible in rank_sims.
+    const std::vector<core::MatchUnit> units = {
+        c.unit, unit(Kind::kTypeIII, kYear,
+                     {cond(kYear, db::CompareOp::kEq, 2001)})};
+    core::SimScorer scorer(table.schema(), units, ctx);
+    std::vector<double> rank(rows.size()), sim(rows.size());
+    scorer.ScoreBlock(table, rows.data(), rows.size(), 0, rank.data(),
+                      sim.data());
+    core::SimScorer reference(table.schema(), units, ctx);
+    bool any_positive = false;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const core::PartialScore one = reference.Score(table, rows[i], 0);
+      ASSERT_EQ(Bits(rank[i]), Bits(one.rank_sim))
+          << c.name << " row " << rows[i];
+      ASSERT_EQ(Bits(sim[i]), Bits(one.unit_sim))
+          << c.name << " row " << rows[i];
+      any_positive = any_positive || sim[i] > 0.0;
+    }
+    const bool degenerate = c.unit.attr == kMake || c.ranges[kPrice] <= 0.0;
+    EXPECT_EQ(any_positive, !degenerate) << c.name;
   }
 }
 

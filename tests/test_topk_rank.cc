@@ -4,7 +4,9 @@
 // randomized engine-level byte-parity of pruned/parallel ranking against
 // the frozen serial full-sort oracle across all eight datagen domains,
 // score-tie boundaries at answer_cap, delta rows + tombstones across a
-// compaction, deadline-degraded sweeps, rank counters through ExecStats and
+// compaction, best-first visit order on price-sorted and shuffled fleets
+// (byte parity, and fewer blocks visited than a row-order replay),
+// deadline-degraded sweeps, rank counters through ExecStats and
 // ConcurrentServer::StatsJson, and the TSan leg racing morsel-parallel rank
 // against ingest/retire/compaction.
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "common/rng.h"
 #include "core/cqads_engine.h"
 #include "core/pipeline.h"
+#include "core/rank_sim.h"
 #include "datagen/domain_spec.h"
 #include "datagen/question_gen.h"
 #include "datagen/world.h"
@@ -262,7 +266,9 @@ TEST_P(TopKRankParityTest, RankCountersAccumulate) {
                 static_cast<std::size_t>(core::EngineOptions().answer_cap));
     }
   }
-  if (ranked_questions > 0) EXPECT_GT(blocks_visited, 0u);
+  if (ranked_questions > 0) {
+    EXPECT_GT(blocks_visited, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -372,6 +378,158 @@ TEST_F(TieBoundaryTest, DeltaRowsAndTombstonesStayByteIdentical) {
 
   ASSERT_TRUE(engine_.CompactDomain("cars").ok());
   ExpectParity(questions);
+}
+
+// ------------------------------------------------ best-first visit order
+
+enum class PriceOrder { kAscending, kDescending, kShuffled };
+
+/// 18000 MiniCar-schema ads with distinct prices, inserted in `order` of
+/// price: every order holds the same records, so only the row ids (and so
+/// the blocks) a price lands in differ. Two make-model pairs of 9000 rows
+/// each let one N-1 pass clear kMinRowsForParallelExec.
+db::Table PriceOrderedFleet(PriceOrder order) {
+  static constexpr const char* kColors[] = {"blue", "red",   "white",
+                                            "black", "silver", "green"};
+  std::vector<db::Record> records;
+  Rng rng(4242);
+  for (std::size_t i = 0; i < 18000; ++i) {
+    const bool honda = i % 2 == 0;
+    records.push_back(CarRecord(
+        honda ? "honda" : "toyota", honda ? "civic" : "camry",
+        2000 + static_cast<double>(i % 11),
+        2000.0 + 2.5 * static_cast<double>(i) + rng.UniformReal(0.0, 0.99),
+        static_cast<double>(10 + i % 170) * 1000.0, kColors[i % 6],
+        i % 3 == 0 ? "manual" : "automatic", i % 4 == 0 ? "2 door" : "4 door",
+        "2 wheel drive", i % 5 == 0 ? "gps;leather seats" : "cd player"));
+  }
+  if (order == PriceOrder::kDescending) {
+    std::reverse(records.begin(), records.end());
+  } else if (order == PriceOrder::kShuffled) {
+    std::mt19937 shuffle(99);
+    std::shuffle(records.begin(), records.end(), shuffle);
+  }
+  db::Table table(testing::MiniCarSchema());
+  for (auto& r : records) EXPECT_TRUE(table.Insert(std::move(r)).ok());
+  table.BuildIndexes();
+  return table;
+}
+
+/// Blocks a single-condition sweep visits when it walks the blocks in row
+/// order instead of best bound first: a serial replay over the same block
+/// bounds, scorer and top-k rule as RankStage.
+std::size_t RowOrderBlocksVisited(const core::CqadsEngine& engine,
+                                  const std::string& question,
+                                  const core::AskResult& asked) {
+  const auto snapshot = engine.snapshot();
+  const core::DomainRuntime* rt = snapshot->runtime("cars");
+  auto parsed = engine.Parse("cars", question);
+  if (!parsed.ok()) {
+    ADD_FAILURE() << question << ": " << parsed.status();
+    return 0;
+  }
+  const auto& units = parsed.value().assembled.units;
+  EXPECT_EQ(units.size(), 1u) << question;
+  const core::SimilarityContext sim = snapshot->MakeSimilarityContext(*rt);
+  core::SimScorer scorer(rt->table->schema(), units, sim);
+  std::vector<double> ub;
+  EXPECT_TRUE(scorer.ComputeBlockBounds(*rt->table, *rt->rank_bounds, 0, &ub));
+
+  const std::size_t rows = rt->table->num_rows();
+  std::vector<bool> exact(rows, false);
+  for (const auto& a : asked.answers) {
+    if (a.exact) exact[a.row] = true;
+  }
+  TopK topk(core::EngineOptions().answer_cap - asked.exact_count);
+  std::size_t visited = 0;
+  for (std::size_t b = 0; b < ub.size(); ++b) {
+    if (ub[b] <= 0.0 || ub[b] < topk.threshold()) continue;
+    ++visited;
+    const std::size_t end =
+        std::min((b + 1) * db::exec::kRankBlockRows, rows);
+    for (std::size_t r = b * db::exec::kRankBlockRows; r < end; ++r) {
+      if (exact[r]) continue;
+      const auto row = static_cast<RowId>(r);
+      const core::PartialScore p = scorer.Score(*rt->table, row, 0);
+      if (p.unit_sim > 0.0) topk.Push(p.rank_sim, row, 0);
+    }
+  }
+  return visited;
+}
+
+// Best-first visits answer byte-identically to the full-sort oracle however
+// prices are laid out over row ids — serially and on a 4-worker runner, for
+// the single-condition sweep and for N-1 passes.
+TEST(BestFirstVisitTest, ByteParityOnPriceSortedAndShuffledFleets) {
+  std::vector<std::string> questions;
+  for (const char* target : {"150", "9000", "23456", "46000"}) {
+    const std::string price = std::string(target) + " dollars";
+    questions.push_back(price);
+    questions.push_back("honda civic " + price);
+    questions.push_back("blue honda civic " + price);
+  }
+  serve::WorkerPool pool(4);
+  core::EngineOptions serial_on;
+  core::EngineOptions parallel_on;
+  parallel_on.exec_runner = &pool;
+  parallel_on.exec_parallelism = 4;
+  core::EngineOptions off;
+  off.use_topk_rank = false;
+
+  for (PriceOrder order : {PriceOrder::kAscending, PriceOrder::kDescending,
+                           PriceOrder::kShuffled}) {
+    const db::Table table = PriceOrderedFleet(order);
+    core::CqadsEngine engine;
+    ASSERT_TRUE(engine.AddDomain(&table, qlog::TiMatrix()).ok());
+    const std::string label =
+        "price order " + std::to_string(static_cast<int>(order));
+    std::vector<datagen::GeneratedQuestion> generated;
+    std::size_t skipped = 0;
+    for (const auto& q : questions) {
+      auto r = engine.AskInDomain("cars", q);
+      ASSERT_TRUE(r.ok()) << q;
+      // Every question must reach the top-k sweep, or parity is vacuous.
+      EXPECT_GT(r.value().stats.rank_blocks_visited, 0u) << label << " " << q;
+      skipped += r.value().stats.rank_blocks_skipped;
+      datagen::GeneratedQuestion g;
+      g.text = q;
+      generated.push_back(std::move(g));
+    }
+    EXPECT_GT(skipped, 0u) << label;
+    ExpectAskParity(engine, "cars", generated, serial_on, off,
+                    (label + " serial").c_str());
+    ExpectAskParity(engine, "cars", generated, parallel_on, off,
+                    (label + " parallel").c_str());
+  }
+}
+
+// On a fleet whose prices rise with row id, a row-order sweep still visits
+// every block up to the target's (each beats the running threshold);
+// best-first visits the target's block first, and its 30 nearest prices
+// then bound every other block out. Counts are exact: single-threaded
+// sweeps are deterministic.
+TEST(BestFirstVisitTest, AscendingFleetVisitsFewerBlocksThanRowOrder) {
+  const db::Table table = PriceOrderedFleet(PriceOrder::kAscending);
+  core::CqadsEngine engine;
+  ASSERT_TRUE(engine.AddDomain(&table, qlog::TiMatrix()).ok());
+  struct Want {
+    const char* question;
+    std::size_t best_first, row_order;
+  };
+  for (const Want& want : {Want{"23456 dollars", 1, 9},
+                           Want{"46000 dollars", 1, 18}}) {
+    auto r = engine.AskInDomain("cars", want.question);
+    ASSERT_TRUE(r.ok()) << want.question;
+    const std::size_t best_first = r.value().stats.rank_blocks_visited;
+    const std::size_t row_order =
+        RowOrderBlocksVisited(engine, want.question, r.value());
+    RecordProperty(std::string("best_first_") + want.question,
+                   std::to_string(best_first));
+    RecordProperty(std::string("row_order_") + want.question,
+                   std::to_string(row_order));
+    EXPECT_EQ(best_first, want.best_first) << want.question;
+    EXPECT_EQ(row_order, want.row_order) << want.question;
+  }
 }
 
 // ------------------------------------------- parallel sweeps (big domain)
