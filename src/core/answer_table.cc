@@ -42,8 +42,8 @@ Grid BuildGrid(const db::Table& table, const CqadsEngine::AskResult& result,
     row.push_back(std::to_string(shown));
     row.push_back(answer.exact ? "exact" : "partial");
     for (std::size_t a = 0; a < n_attrs; ++a) {
-      // Delta-store answers (global ids past the base table) read their
-      // row-major record when the caller passed the snapshot's delta; a
+      // Delta-store answers (global ids past the base table) read the
+      // delta's cells when the caller passed the snapshot's delta; a
       // placeholder otherwise (never an out-of-range table read).
       if (answer.row < table.num_rows()) {
         row.push_back(table.cell(answer.row, a).AsText());

@@ -26,7 +26,7 @@ struct AnswerTableOptions {
 
 /// Fixed-width text rendering (monospace-aligned, one header row).
 /// `delta` renders answers whose global RowId lies past the base table
-/// (ads ingested since the last compaction) from their delta records; pass
+/// (ads ingested since the last compaction) from the delta's cells; pass
 /// the asked snapshot's DomainRuntime::delta. With delta omitted such rows
 /// render a placeholder.
 std::string FormatAnswersText(const db::Table& table,

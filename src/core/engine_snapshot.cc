@@ -120,14 +120,16 @@ void EngineBuilder::RefreshDeltaRuntime(const std::string& domain) {
   // A new runtime generation: every heavy component shared, only the frozen
   // delta copy differs. The copy is what keeps the hot path lock-free — the
   // pending delta stays mutable here, snapshots only ever see immutable
-  // copies. Each publication costs O(pending delta) record copies, so a
-  // stream of N ingests between compactions is O(N^2) total; compaction
-  // cadence bounds N by design (bulk loads should go through
-  // Table::Insert + AddDomain/CompactDomain, not row-at-a-time IngestAd).
+  // copies. Each publication copies the pending delta's columns (distinct
+  // values, element pools, per-row code vectors; never the intern tables),
+  // O(pending delta) per ingest, so a stream of N ingests between
+  // compactions is O(N^2) total; compaction cadence bounds N by design
+  // (bulk loads should go through Table::Insert + AddDomain/CompactDomain,
+  // not row-at-a-time IngestAd).
   auto& slot = runtimes_[domain];
   auto rt = std::make_shared<DomainRuntime>(*slot);
-  rt->delta =
-      std::make_shared<const db::DeltaStore>(*pending_deltas_[domain]);
+  rt->delta = std::make_shared<const db::DeltaStore>(
+      pending_deltas_[domain]->FrozenCopy());
   slot = std::move(rt);
 }
 

@@ -484,29 +484,28 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   db::exec::RowBitmap already(total_rows);
   for (const auto& a : out.answers) already.Set(a.row);
 
-  // Scoring over the global id space: base rows read the column store,
-  // delta rows their row-major record — identical semantics either way
-  // (core/rank_sim.h record overloads). On the term substrate, a
-  // per-request SimScorer resolves the question side to TermIds once and
-  // memoizes record-side strings, so the per-candidate loop below performs
-  // no stemming and builds no string-pair keys; the legacy free functions
+  // Scoring over the global id space: base rows read the base table's
+  // column store, delta rows the delta's (db::DeltaStore::table(), local
+  // ids) — one code path either way. On the term substrate, a per-request
+  // SimScorer resolves the question side to TermIds once and memoizes
+  // record-side strings, so the per-candidate loop below performs no
+  // stemming and builds no string-pair keys; the legacy free functions
   // remain the parity oracle.
   std::optional<SimScorer> scorer;
   if (options.use_term_substrate) {
     scorer.emplace(rt.table->schema(), units, sim);
   }
+  // Row-at-a-time Score() memoizes by string only, so the request scorer
+  // serves delta rows too; ScoreBlock's memo is keyed by dictionary codes,
+  // and code c of the delta is not code c of the base, so batched delta
+  // scoring gets its own scorer (built on first use).
+  std::optional<SimScorer> delta_scorer;
   auto score_row = [&](db::RowId row, std::size_t dropped) {
-    if (scorer.has_value()) {
-      if (row < base_rows) return scorer->Score(*rt.table, row, dropped);
-      return scorer->Score(rt.table->schema(),
-                           delta->record(row - base_rows), dropped);
-    }
-    if (row < base_rows) {
-      return ScorePartialMatch(*rt.table, row, units, dropped, sim);
-    }
-    return ScorePartialMatch(rt.table->schema(),
-                             delta->record(row - base_rows), units, dropped,
-                             sim);
+    const bool in_base = row < base_rows;
+    const db::Table& table = in_base ? *rt.table : delta->table();
+    const db::RowId local = in_base ? row : row - base_rows;
+    if (scorer.has_value()) return scorer->Score(table, local, dropped);
+    return ScorePartialMatch(table, local, units, dropped, sim);
   };
   // Tombstoned rows never rank (the exact path masks them already; the
   // similarity sweep below must too).
@@ -553,25 +552,29 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     std::vector<double> ub;  // per-block unit-similarity upper bounds
     bool degraded = false;
 
-    auto score_and_push = [&](RankSlots::Slot& sl, std::size_t dropped,
-                              bool require_positive) {
+    // Scores the slot's gathered rows of `table` (local ids; global id =
+    // id_base + local) and pushes them into the slot's top-k.
+    auto score_and_push = [&](RankSlots::Slot& sl, const db::Table& table,
+                              SimScorer& sc, std::size_t id_base,
+                              std::size_t dropped, bool require_positive) {
       const std::size_t n = sl.rows.size();
       if (n == 0) return;
       sl.rank.resize(n);
       sl.unit.resize(n);
       if (options.use_vector_kernels) {
-        sl.scorer->ScoreBlock(*rt.table, sl.rows.data(), n, dropped,
-                              sl.rank.data(), sl.unit.data());
+        sc.ScoreBlock(table, sl.rows.data(), n, dropped, sl.rank.data(),
+                      sl.unit.data());
       } else {
         for (std::size_t i = 0; i < n; ++i) {
-          PartialScore p = sl.scorer->Score(*rt.table, sl.rows[i], dropped);
+          PartialScore p = sc.Score(table, sl.rows[i], dropped);
           sl.rank[i] = p.rank_sim;
           sl.unit[i] = p.unit_sim;
         }
       }
       for (std::size_t i = 0; i < n; ++i) {
         if (require_positive && sl.unit[i] <= 0.0) continue;
-        if (sl.topk.Push(sl.rank[i], sl.rows[i],
+        if (sl.topk.Push(sl.rank[i],
+                         static_cast<db::RowId>(id_base + sl.rows[i]),
                          static_cast<std::uint32_t>(dropped)) &&
             sl.topk.full()) {
           RaiseThreshold(&shared_threshold, sl.topk.threshold(),
@@ -580,20 +583,15 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
       }
       sl.rows.clear();
     };
-    // Delta rows are row-major; scored serially on the caller after the
-    // parallel base sweep finished (slot 0 is then free, and its scorer is
-    // the request scorer).
-    auto push_delta_row = [&](db::RowId row, std::size_t dropped,
-                              bool require_positive) {
-      PartialScore p = scorer->Score(rt.table->schema(),
-                                     delta->record(row - base_rows), dropped);
-      if (require_positive && p.unit_sim <= 0.0) return;
+    // Delta rows: gathered (local ids) into slot 0 and scored as one batch
+    // on the caller after the parallel base sweep finished (slot 0 is then
+    // free), with the delta's own scorer.
+    auto score_delta = [&](std::size_t dropped, bool require_positive) {
       RankSlots::Slot& sl = slots.slot(0);
-      if (sl.topk.Push(p.rank_sim, row, static_cast<std::uint32_t>(dropped)) &&
-          sl.topk.full()) {
-        RaiseThreshold(&shared_threshold, sl.topk.threshold(),
-                       &sl.threshold_updates);
-      }
+      if (sl.rows.empty()) return;
+      if (!delta_scorer) delta_scorer.emplace(rt.table->schema(), units, sim);
+      score_and_push(sl, delta->table(), *delta_scorer, base_rows, dropped,
+                     require_positive);
     };
 
     // One unit of sweep work: rows [lo, hi) of rank block `block` — the
@@ -633,7 +631,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
         } else {
           ++sl.blocks_visited;
           gather(run, &sl.rows);
-          score_and_push(sl, dropped, require_positive);
+          score_and_push(sl, *rt.table, *sl.scorer, 0, dropped,
+                         require_positive);
         }
         slots.Release(s_idx);
       };
@@ -675,7 +674,11 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
         for (db::RowId row : rel.value().rows) {
           if (already.Test(row)) continue;
           already.Set(row);
-          (row < base_rows ? cand_base : cand_delta).push_back(row);
+          if (row < base_rows) {
+            cand_base.push_back(row);
+          } else {
+            cand_delta.push_back(static_cast<db::RowId>(row - base_rows));
+          }
         }
         // Candidates arrive in row order, so same-block runs are contiguous.
         runs.clear();
@@ -705,9 +708,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           degraded = true;
           break;
         }
-        for (db::RowId row : cand_delta) {
-          push_delta_row(row, dropped, /*require_positive=*/false);
-        }
+        slots.slot(0).rows.assign(cand_delta.begin(), cand_delta.end());
+        score_delta(dropped, /*require_positive=*/false);
       }
     } else {
       // Single-condition full-table sweep, block at a time. A block that
@@ -740,14 +742,18 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
         degraded = true;
       }
       if (delta != nullptr && !degraded) {
-        for (db::RowId row = base_rows; row < total_rows; ++row) {
-          if ((row - base_rows) % 512 == 0 && control.Expired()) {
+        std::vector<db::RowId>& rows = slots.slot(0).rows;
+        for (db::RowId i = 0; i < delta->num_rows(); ++i) {
+          if (i % 512 == 0 && control.Expired()) {
             degraded = true;
             break;
           }
-          if (already.Test(row) || !is_live(row)) continue;
-          push_delta_row(row, 0, /*require_positive=*/true);
+          if (!already.Test(base_rows + i) && !delta->delta_retired(i)) {
+            rows.push_back(i);
+          }
         }
+        // Rows gathered before a deadline break were already visited.
+        score_delta(0, /*require_positive=*/true);
       }
     }
 
@@ -785,7 +791,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   // RowRef adapter, code-tuple memo, and measure string are hoisted out of
   // the per-row loop. Reordering pushes into `partials` is safe — the final
   // sort's (rank_sim, row) key is a total order over the unique rows. Delta
-  // rows are row-major and keep the per-row path.
+  // rows keep the per-row path: this is the reference the top-k sweep's
+  // batched delta scoring is checked against.
   const bool batch_scoring =
       scorer.has_value() && options.use_vector_kernels;
   std::vector<db::RowId> batch;

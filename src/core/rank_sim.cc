@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "common/string_util.h"
-#include "db/row_match.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
 
@@ -13,22 +12,17 @@ namespace cqads::core {
 
 namespace {
 
-/// One row behind either representation: a table row read through the
-/// column store, or a row-major delta Record. Scoring below goes through
-/// this adapter only, so the two paths cannot drift.
+/// One table row read through the column store (base tables and ingest
+/// deltas alike).
 struct RowAccess {
-  const db::Schema* schema = nullptr;
-  const db::Table* table = nullptr;  ///< table path when non-null
+  const db::Table* table = nullptr;
   db::RowId row = 0;
-  const db::Record* record = nullptr;  ///< record path otherwise
 
   const db::Value& cell(std::size_t attr) const {
-    return table != nullptr ? table->cell(row, attr) : (*record)[attr];
+    return table->cell(row, attr);
   }
   std::vector<std::string> elements(std::size_t attr) const {
-    return table != nullptr
-               ? table->CellElements(row, attr)
-               : db::ValueElements(*schema, attr, (*record)[attr]);
+    return table->CellElements(row, attr);
   }
 };
 
@@ -183,22 +177,14 @@ PartialScore ScorePartialMatchImpl(const RowAccess& access,
   const MatchUnit& unit = units[dropped_unit];
   out.unit_sim = UnitSimilarityImpl(access, unit, ctx);
   out.rank_sim = static_cast<double>(units.size()) - 1.0 + out.unit_sim;
-  out.measure = MakeMeasure(*access.schema, unit);
+  out.measure = MakeMeasure(access.table->schema(), unit);
   return out;
 }
 
 RowAccess TableRow(const db::Table& table, db::RowId row) {
   RowAccess access;
-  access.schema = &table.schema();
   access.table = &table;
   access.row = row;
-  return access;
-}
-
-RowAccess RecordRow(const db::Schema& schema, const db::Record& record) {
-  RowAccess access;
-  access.schema = &schema;
-  access.record = &record;
   return access;
 }
 
@@ -240,11 +226,6 @@ double UnitSimilarity(const db::Table& table, db::RowId row,
   return UnitSimilarityImpl(TableRow(table, row), unit, ctx);
 }
 
-double UnitSimilarity(const db::Schema& schema, const db::Record& record,
-                      const MatchUnit& unit, const SimilarityContext& ctx) {
-  return UnitSimilarityImpl(RecordRow(schema, record), unit, ctx);
-}
-
 PartialScore ScorePartialMatch(const db::Table& table, db::RowId row,
                                const std::vector<MatchUnit>& units,
                                std::size_t dropped_unit,
@@ -252,36 +233,13 @@ PartialScore ScorePartialMatch(const db::Table& table, db::RowId row,
   return ScorePartialMatchImpl(TableRow(table, row), units, dropped_unit, ctx);
 }
 
-PartialScore ScorePartialMatch(const db::Schema& schema,
-                               const db::Record& record,
-                               const std::vector<MatchUnit>& units,
-                               std::size_t dropped_unit,
-                               const SimilarityContext& ctx) {
-  return ScorePartialMatchImpl(RecordRow(schema, record), units, dropped_unit,
-                               ctx);
-}
-
 // ---------------------------------------------------------------------------
 // SimScorer: the id-keyed per-request path.
 // ---------------------------------------------------------------------------
 
-/// Table-or-record adapter for the scorer (mirrors RowAccess; private type
-/// so the header stays free of scoring internals).
-struct SimScorer::RowRef {
-  const db::Schema* schema = nullptr;
-  const db::Table* table = nullptr;
-  db::RowId row = 0;
-  const db::Record* record = nullptr;
-
-  const db::Value& cell(std::size_t attr) const {
-    return table != nullptr ? table->cell(row, attr) : (*record)[attr];
-  }
-  std::vector<std::string> elements(std::size_t attr) const {
-    return table != nullptr
-               ? table->CellElements(row, attr)
-               : db::ValueElements(*schema, attr, (*record)[attr]);
-  }
-};
+/// The scorer's row adapter is RowAccess under a private name, so the
+/// header stays free of scoring internals.
+struct SimScorer::RowRef : RowAccess {};
 
 // Tokenizes a value and resolves each word against the WS vocabulary:
 // stemming happens HERE, once per distinct string per request, never inside
@@ -484,7 +442,6 @@ double SimScorer::UnitSimImpl(const RowRef& row, const UnitSim& unit) {
 PartialScore SimScorer::Score(const db::Table& table, db::RowId row,
                               std::size_t dropped_unit) {
   RowRef ref;
-  ref.schema = &table.schema();
   ref.table = &table;
   ref.row = row;
   PartialScore out;
@@ -501,7 +458,6 @@ void SimScorer::ScoreBlock(const db::Table& table, const db::RowId* rows,
   const UnitSim& unit = units_[dropped_unit];
   const double exact_part = static_cast<double>(units_.size()) - 1.0;
   RowRef ref;
-  ref.schema = &table.schema();
   ref.table = &table;
 
   const std::size_t num_attrs = unit.read_attrs.size();
@@ -644,7 +600,6 @@ bool SimScorer::ComputeBlockBounds(const db::Table& table,
   if (dict_size > kMaxDictForRankBounds) return false;
 
   RowRef ref;
-  ref.schema = &table.schema();
   ref.table = &table;
   auto& memo = unit_memo_[dropped_unit];
 
@@ -680,20 +635,6 @@ bool SimScorer::ComputeBlockBounds(const db::Table& table,
     (*out_bounds)[b] = bound;
   }
   return true;
-}
-
-PartialScore SimScorer::Score(const db::Schema& schema,
-                              const db::Record& record,
-                              std::size_t dropped_unit) {
-  RowRef ref;
-  ref.schema = &schema;
-  ref.record = &record;
-  PartialScore out;
-  const UnitSim& unit = units_[dropped_unit];
-  out.unit_sim = UnitSimImpl(ref, unit);
-  out.rank_sim = static_cast<double>(units_.size()) - 1.0 + out.unit_sim;
-  out.measure = unit.measure;
-  return out;
 }
 
 }  // namespace cqads::core

@@ -52,26 +52,15 @@ struct PartialScore {
 };
 
 /// Similarity of the dropped unit's requested value(s) vs the record's.
+/// Ingest-delta rows score through the same function on the delta's table
+/// (db::DeltaStore::table()), which is what keeps partial rankings stable
+/// across a compaction.
 double UnitSimilarity(const db::Table& table, db::RowId row,
-                      const MatchUnit& unit, const SimilarityContext& ctx);
-
-/// Record-level form for rows that live outside a Table (delta-store rows
-/// awaiting compaction). Same semantics cell-for-cell: the same record
-/// scores identically through either overload, which is what keeps partial
-/// rankings stable across a compaction.
-double UnitSimilarity(const db::Schema& schema, const db::Record& record,
                       const MatchUnit& unit, const SimilarityContext& ctx);
 
 /// Full Eq. 5 score: (num_units - 1) + UnitSimilarity, with the measure
 /// label used in Table 2.
 PartialScore ScorePartialMatch(const db::Table& table, db::RowId row,
-                               const std::vector<MatchUnit>& units,
-                               std::size_t dropped_unit,
-                               const SimilarityContext& ctx);
-
-/// Record-level form (delta rows).
-PartialScore ScorePartialMatch(const db::Schema& schema,
-                               const db::Record& record,
                                const std::vector<MatchUnit>& units,
                                std::size_t dropped_unit,
                                const SimilarityContext& ctx);
@@ -98,11 +87,8 @@ class SimScorer {
   /// Eq. 5 for a column-store row.
   PartialScore Score(const db::Table& table, db::RowId row,
                      std::size_t dropped_unit);
-  /// Eq. 5 for a row-major record (delta rows).
-  PartialScore Score(const db::Schema& schema, const db::Record& record,
-                     std::size_t dropped_unit);
 
-  /// Batched Eq. 5 over BASE-table rows for one dropped unit: fills
+  /// Batched Eq. 5 over one table's rows for one dropped unit: fills
   /// rank_sims[i] (and unit_sims[i] when non-null) for rows[i], bit-identical
   /// to Score() row by row. Two kernels:
   ///   * a numeric (Type III / ambiguous) unit reading one numeric attribute
@@ -117,6 +103,11 @@ class SimScorer {
   /// The RowRef adapter and measure-string composition are hoisted out of
   /// the candidate loop. RankStage's full-table and relaxation sweeps use
   /// this under EngineOptions::use_vector_kernels.
+  ///
+  /// The memo is keyed by `table`'s dictionary codes, so one instance must
+  /// only ever batch-score ONE table: code c of an ingest delta and code c
+  /// of its base table are different values. RankStage scores delta rows
+  /// with a second instance.
   void ScoreBlock(const db::Table& table, const db::RowId* rows,
                   std::size_t n, std::size_t dropped_unit, double* rank_sims,
                   double* unit_sims);

@@ -1,11 +1,59 @@
 #include "db/exec/delta_exec.h"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "db/exec/rowset_ops.h"
-#include "db/row_match.h"
 
 namespace cqads::db::exec {
+
+namespace {
+
+/// query.where resolved against the delta's dictionaries: the Expr's
+/// AND/OR/NOT shape with a CompiledPredicate at every leaf, so each needle
+/// is resolved (and shorthand-normalized) once per call, not once per row.
+struct DeltaFilter {
+  Expr::Kind kind = Expr::Kind::kPredicate;
+  CompiledPredicate leaf;             ///< kPredicate
+  std::vector<DeltaFilter> children;  ///< kAnd / kOr / kNot
+};
+
+DeltaFilter CompileFilter(const Table& rows, const Expr& expr) {
+  DeltaFilter f;
+  f.kind = expr.kind();
+  if (f.kind == Expr::Kind::kPredicate) {
+    f.leaf = CompilePredicate(rows, expr.predicate());
+    return f;
+  }
+  f.children.reserve(expr.children().size());
+  for (const auto& child : expr.children()) {
+    f.children.push_back(CompileFilter(rows, *child));
+  }
+  return f;
+}
+
+bool FilterMatches(const DeltaFilter& f, const ColumnStore& store, RowId row) {
+  switch (f.kind) {
+    case Expr::Kind::kPredicate:
+      return f.leaf.Matches(store, row);
+    case Expr::Kind::kAnd:
+      for (const auto& child : f.children) {
+        if (!FilterMatches(child, store, row)) return false;
+      }
+      return true;
+    case Expr::Kind::kOr:
+      for (const auto& child : f.children) {
+        if (FilterMatches(child, store, row)) return true;
+      }
+      return false;
+    case Expr::Kind::kNot:
+      return !FilterMatches(f.children[0], store, row);
+  }
+  return false;
+}
+
+}  // namespace
 
 const Value& HybridCell(const Table& base, const DeltaStore* delta, RowId row,
                         std::size_t attr) {
@@ -49,20 +97,24 @@ Result<QueryResult> ExecuteHybrid(const Table& base, const DeltaStore& delta,
     rows = DifferenceSets(rows, delta.retired_base(), base_rows);
   }
 
-  // 3. Scan the live delta rows with the seed row-at-a-time semantics. The
-  //    deadline is re-checked every chunk so an expired request abandons a
-  //    large delta within a few hundred row probes.
+  // 3. Scan the live delta rows: the where tree compiled once against the
+  //    delta's dictionaries, then integer tests per row over its columns.
+  //    The deadline is re-checked every chunk so an expired request abandons
+  //    a large delta within a few hundred row probes.
   constexpr std::size_t kCancelCheckRows = 256;
-  const Schema& schema = base.schema();
+  std::optional<DeltaFilter> filter;
+  if (query.where != nullptr && delta.live_delta_rows() > 0) {
+    filter = CompileFilter(delta.table(), *query.where);
+  }
+  const ColumnStore& store = delta.table().store();
   std::size_t scanned = 0;
-  for (std::size_t i = 0; i < delta.num_rows(); ++i) {
+  for (RowId i = 0; i < delta.num_rows(); ++i) {
     if (i % kCancelCheckRows == 0 && ExecControl::Expired(source.control)) {
       return Status::DeadlineExceeded("delta scan cancelled");
     }
     if (delta.delta_retired(i)) continue;
     ++scanned;
-    if (query.where == nullptr ||
-        RecordMatchesExpr(schema, delta.record(i), *query.where)) {
+    if (!filter || FilterMatches(*filter, store, i)) {
       rows.push_back(static_cast<RowId>(base_rows + i));
     }
   }

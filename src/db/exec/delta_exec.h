@@ -1,10 +1,13 @@
 // Delta-union query execution: one query answered over a base table (via
 // whichever compiled path is available — partitioned plan, monolithic plan,
-// or the seed Type-rank executor) PLUS a row-major DeltaStore riding on it.
+// or the seed Type-rank executor) PLUS a columnar DeltaStore riding on it.
 //
 //   base rows   index/plan-driven, then tombstoned base rows masked out
-//   delta rows  row-at-a-time scan with the seed value semantics
-//               (db/row_match.h), tombstoned slots skipped, ids offset to
+//   delta rows  the where tree compiled once per call against the delta's
+//               own dictionaries (a CompilePredicate leaf per predicate,
+//               under the query's AND/OR/NOT shape), live rows tested with
+//               CompiledPredicate::Matches — the base plans' value
+//               semantics; tombstoned slots skipped, ids offset to
 //               base_rows + slot
 //   finally     global superlative sort + answer cap, once, with the seed
 //               §4.3 step-4 semantics over the combined id space
@@ -41,11 +44,12 @@ struct BaseRowSource {
   const ExecControl* control = nullptr;
   /// Block-at-a-time kernels for the base plan paths
   /// (EngineOptions::use_vector_kernels); false runs the scalar loops.
-  /// Delta rows are row-major and always scan row-at-a-time.
+  /// Delta rows (a few hundred at most between compactions) are always
+  /// tested row by row with the compiled predicates.
   bool vectorize = true;
 };
 
-/// Cell of a global row id: a base-table cell or a delta record's value.
+/// Cell of a global row id: a base-table cell or a delta-store cell.
 /// `delta` may be null (global ids then never exceed the base).
 const Value& HybridCell(const Table& base, const DeltaStore* delta, RowId row,
                         std::size_t attr);

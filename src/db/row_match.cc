@@ -1,6 +1,5 @@
 #include "db/row_match.h"
 
-#include "common/string_util.h"
 #include "db/compare.h"
 #include "text/shorthand.h"
 
@@ -26,21 +25,6 @@ bool TextContains(const std::vector<std::string>& elements,
 }
 
 }  // namespace
-
-std::vector<std::string> ValueElements(const Schema& schema, std::size_t attr,
-                                       const Value& v) {
-  std::vector<std::string> out;
-  if (v.is_null() || !v.is_text()) return out;
-  if (schema.attribute(attr).data_kind == DataKind::kTextList) {
-    for (auto& part : Split(v.text(), ';')) {
-      std::string trimmed = Trim(part);
-      if (!trimmed.empty()) out.push_back(std::move(trimmed));
-    }
-  } else {
-    out.push_back(v.text());
-  }
-  return out;
-}
 
 bool MatchesCell(const Schema& schema, const Predicate& pred,
                  const Value& cell, const std::vector<std::string>& elements) {
@@ -88,34 +72,6 @@ bool MatchesCell(const Schema& schema, const Predicate& pred,
     default:
       return false;  // range operators are undefined on text
   }
-}
-
-bool RecordMatches(const Schema& schema, const Record& record,
-                   const Predicate& pred) {
-  const Value& cell = record[pred.attr];
-  return MatchesCell(schema, pred, cell,
-                     ValueElements(schema, pred.attr, cell));
-}
-
-bool RecordMatchesExpr(const Schema& schema, const Record& record,
-                       const Expr& expr) {
-  switch (expr.kind()) {
-    case Expr::Kind::kPredicate:
-      return RecordMatches(schema, record, expr.predicate());
-    case Expr::Kind::kAnd:
-      for (const auto& child : expr.children()) {
-        if (!RecordMatchesExpr(schema, record, *child)) return false;
-      }
-      return true;
-    case Expr::Kind::kOr:
-      for (const auto& child : expr.children()) {
-        if (RecordMatchesExpr(schema, record, *child)) return true;
-      }
-      return false;
-    case Expr::Kind::kNot:
-      return !RecordMatchesExpr(schema, record, *expr.children()[0]);
-  }
-  return false;
 }
 
 Status ValidateRecord(const Schema& schema, const Record& record) {

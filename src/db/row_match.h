@@ -1,11 +1,8 @@
-// Row-at-a-time predicate matching over a materialized cell, shared by the
-// seed Executor (table rows read through the column store) and the
-// DeltaStore scan (row-major Records that have no column store yet). One
-// implementation of the §4.3 value semantics — NULL rule, shorthand
-// equality, canonical kContains rendering, text-list membership — so the
-// base-table and delta paths can never drift: a record answered from the
-// delta matches a predicate iff the same record compacted into a table
-// would.
+// Row-at-a-time predicate matching over a materialized cell: the seed
+// Executor's value semantics — NULL rule, shorthand equality, canonical
+// kContains rendering, text-list membership. The compiled plan path
+// (db/exec/plan.h CompiledPredicate, which base tables and ingest deltas
+// share) must agree with it on every (row, predicate).
 #ifndef CQADS_DB_ROW_MATCH_H_
 #define CQADS_DB_ROW_MATCH_H_
 
@@ -19,26 +16,14 @@
 
 namespace cqads::db {
 
-/// Elements a text cell exposes to matching: a TextList cell yields its
-/// trimmed non-empty ';'-members, a categorical cell its single verbatim
-/// value, numeric/NULL cells nothing. Exactly the ColumnStore's
-/// pre-tokenization rule, applied to a raw Value.
-std::vector<std::string> ValueElements(const Schema& schema, std::size_t attr,
-                                       const Value& v);
-
 /// One cell vs one predicate: the single semantic definition behind
-/// Executor::Matches. `elements` must be ValueElements-equivalent for text
-/// attributes (ignored for numeric attributes).
+/// Executor::Matches. `elements` are the cell's ColumnStore::CellElements
+/// for text attributes (ignored for numeric attributes).
 bool MatchesCell(const Schema& schema, const Predicate& pred,
                  const Value& cell, const std::vector<std::string>& elements);
 
-/// Record-level forms for rows that live outside a Table (delta rows).
-bool RecordMatches(const Schema& schema, const Record& record,
-                   const Predicate& pred);
-bool RecordMatchesExpr(const Schema& schema, const Record& record,
-                       const Expr& expr);
-
-/// Schema validation shared by Table::Insert and DeltaStore::Insert.
+/// Schema validation behind Table::Insert (ingest deltas append through a
+/// Table too).
 Status ValidateRecord(const Schema& schema, const Record& record);
 
 }  // namespace cqads::db

@@ -33,7 +33,7 @@ std::string DictKey(const Value& v) {
 }  // namespace
 
 ColumnStore::ColumnStore(const Schema& schema)
-    : cols_(schema.num_attributes()) {
+    : cols_(schema.num_attributes()), interns_(schema.num_attributes()) {
   kinds_.reserve(schema.num_attributes());
   for (std::size_t a = 0; a < cols_.size(); ++a) {
     kinds_.push_back(schema.attribute(a).data_kind);
@@ -41,36 +41,41 @@ ColumnStore::ColumnStore(const Schema& schema)
   }
 }
 
-std::uint32_t ColumnStore::InternValue(Column* col, const Value& v,
+std::uint32_t ColumnStore::InternValue(std::size_t attr, const Value& v,
                                        bool numeric) {
+  Column* col = &cols_[attr];
+  auto& lookup = interns_[attr].dict;
   std::string key = DictKey(v);
-  auto it = col->dict_lookup.find(key);
-  if (it != col->dict_lookup.end()) return it->second;
+  auto it = lookup.find(key);
+  if (it != lookup.end()) return it->second;
   const auto code = static_cast<std::uint32_t>(col->dict.size());
   col->dict.push_back(v);
   // Only numeric columns are probed through the canonical rendering
   // (kContains); text columns already expose their text via the element
   // dictionary, so caching a second copy would just double string memory.
   if (numeric) col->rendered.push_back(CanonicalContainsText(v));
-  col->dict_lookup.emplace(std::move(key), code);
+  lookup.emplace(std::move(key), code);
   return code;
 }
 
-std::uint32_t ColumnStore::InternElement(Column* col, std::string element) {
-  auto it = col->elem_lookup.find(element);
-  if (it != col->elem_lookup.end()) return it->second;
+std::uint32_t ColumnStore::InternElement(std::size_t attr,
+                                         std::string element) {
+  Column* col = &cols_[attr];
+  auto& lookup = interns_[attr].elem;
+  auto it = lookup.find(element);
+  if (it != lookup.end()) return it->second;
   const auto code = static_cast<std::uint32_t>(col->elem_dict.size());
   col->elem_dict.push_back(element);
   col->elem_norms.push_back(text::NormalizeForShorthand(element));
-  col->elem_lookup.emplace(std::move(element), code);
+  lookup.emplace(std::move(element), code);
   return code;
 }
 
 RowId ColumnStore::Append(const Record& record) {
-  // A store restored from a mapped snapshot has view-mode columns and no
-  // intern tables; Table::Insert guards this with a FailedPrecondition
-  // before ever reaching here.
-  assert(!frozen_ && "Append on a snapshot-loaded (frozen) ColumnStore");
+  // A store restored from a mapped snapshot (or a FrozenCopy) has no intern
+  // tables; Table::Insert guards this with a FailedPrecondition before ever
+  // reaching here.
+  assert(!frozen_ && "Append on a frozen ColumnStore");
   const RowId row = static_cast<RowId>(num_rows_);
   for (std::size_t a = 0; a < cols_.size(); ++a) {
     Column& col = cols_[a];
@@ -86,7 +91,7 @@ RowId ColumnStore::Append(const Record& record) {
         col.packed.push_back(std::numeric_limits<double>::quiet_NaN());
       }
     } else {
-      col.codes.push_back(InternValue(&col, v, numeric));
+      col.codes.push_back(InternValue(a, v, numeric));
       if (numeric) col.packed.push_back(v.AsDouble());
     }
 
@@ -100,11 +105,11 @@ RowId ColumnStore::Append(const Record& record) {
           for (auto& part : Split(v.text(), ';')) {
             std::string trimmed = Trim(part);
             if (!trimmed.empty()) {
-              col.elem_codes.push_back(InternElement(&col, std::move(trimmed)));
+              col.elem_codes.push_back(InternElement(a, std::move(trimmed)));
             }
           }
         } else {
-          col.elem_codes.push_back(InternElement(&col, v.text()));
+          col.elem_codes.push_back(InternElement(a, v.text()));
         }
       }
       col.elem_offsets.push_back(
@@ -119,6 +124,15 @@ RowId ColumnStore::Append(const Record& record) {
   }
   ++num_rows_;
   return row;
+}
+
+ColumnStore ColumnStore::FrozenCopy() const {
+  ColumnStore out;
+  out.kinds_ = kinds_;
+  out.cols_ = cols_;
+  out.num_rows_ = num_rows_;
+  out.frozen_ = true;
+  return out;
 }
 
 const Value& ColumnStore::cell(RowId row, std::size_t attr) const {

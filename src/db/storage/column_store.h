@@ -157,10 +157,15 @@ class ColumnStore {
     return cols_[attr].null_bits;
   }
 
-  /// True once the store has been restored from a mapped snapshot: the
-  /// per-column intern tables (dict_lookup/elem_lookup) are not rebuilt, so
-  /// Append is forbidden. Ingest goes through DeltaStore heap generations.
+  /// True once the store has been restored from a mapped snapshot or made
+  /// by FrozenCopy: the per-column intern tables are absent, so Append is
+  /// forbidden. Ingest goes through DeltaStore heap generations.
   bool frozen() const { return frozen_; }
+
+  /// A read-only copy: every column, without the intern tables (the bulk
+  /// of a store copy that readers never touch). How an ingest delta is
+  /// published to queries.
+  ColumnStore FrozenCopy() const;
 
   /// Element-code span of one distinct dictionary entry, as a POD struct
   /// (std::pair is not trivially copyable, so spans could not be written
@@ -176,7 +181,6 @@ class ColumnStore {
   struct Column {
     std::vector<Value> dict;              ///< distinct values, stable order
     std::vector<std::string> rendered;    ///< canonical text (numeric cols)
-    std::unordered_map<std::string, std::uint32_t> dict_lookup;
     // PodVec members: heap-owned while appending, zero-copy views into a
     // mapped snapshot after a load.
     common::PodVec<std::uint32_t> codes;     ///< per row; kNullCode = NULL
@@ -185,7 +189,6 @@ class ColumnStore {
     // Text columns: pre-tokenized elements.
     std::vector<std::string> elem_dict;
     std::vector<std::string> elem_norms;  ///< NormalizeForShorthand per entry
-    std::unordered_map<std::string, std::uint32_t> elem_lookup;
     common::PodVec<std::uint32_t> elem_codes;    ///< pooled spans
     common::PodVec<std::uint32_t> elem_offsets;  ///< size num_rows+1
     /// Per DICTIONARY code: [begin, end) into elem_codes of the element
@@ -196,11 +199,20 @@ class ColumnStore {
     common::PodVec<double> packed;  ///< NaN at NULL rows
   };
 
-  std::uint32_t InternValue(Column* col, const Value& v, bool numeric);
-  std::uint32_t InternElement(Column* col, std::string element);
+  /// Append-side lookup tables of one column; empty on a frozen store.
+  struct Interns {
+    std::unordered_map<std::string, std::uint32_t> dict;  ///< by DictKey
+    std::unordered_map<std::string, std::uint32_t> elem;
+  };
+
+  ColumnStore() = default;  // FrozenCopy
+
+  std::uint32_t InternValue(std::size_t attr, const Value& v, bool numeric);
+  std::uint32_t InternElement(std::size_t attr, std::string element);
 
   std::vector<DataKind> kinds_;  ///< per-column physical kind
   std::vector<Column> cols_;
+  std::vector<Interns> interns_;  ///< parallel to cols_ until frozen
   std::size_t num_rows_ = 0;
   bool frozen_ = false;
 };

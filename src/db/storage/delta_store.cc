@@ -2,17 +2,14 @@
 
 #include <algorithm>
 
-#include "db/row_match.h"
-#include "db/table.h"
-
 namespace cqads::db {
 
 Result<RowId> DeltaStore::Insert(Record record) {
-  CQADS_RETURN_NOT_OK(ValidateRecord(schema_, record));
-  rows_.push_back(std::move(record));
+  auto local = table_.Insert(std::move(record));
+  if (!local.ok()) return local.status();
   retired_delta_.push_back(0);
   ++live_delta_rows_;
-  return static_cast<RowId>(base_rows_ + rows_.size() - 1);
+  return static_cast<RowId>(base_rows_ + local.value());
 }
 
 Status DeltaStore::Retire(RowId global_row) {
@@ -27,7 +24,7 @@ Status DeltaStore::Retire(RowId global_row) {
     return Status::OK();
   }
   const std::size_t local = global_row - base_rows_;
-  if (local >= rows_.size()) {
+  if (local >= num_rows()) {
     return Status::OutOfRange("row id out of range: " +
                               std::to_string(global_row));
   }
@@ -52,9 +49,17 @@ std::vector<Record> DeltaStore::MergedRecords(const Table& base) const {
     }
     out.push_back(base.row(r));
   }
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (!retired_delta_[i]) out.push_back(rows_[i]);
+  for (RowId i = 0; i < num_rows(); ++i) {
+    if (!retired_delta_[i]) out.push_back(table_.row(i));
   }
+  return out;
+}
+
+DeltaStore DeltaStore::FrozenCopy() const {
+  DeltaStore out(table_.FrozenCopy(), base_rows_);
+  out.retired_delta_ = retired_delta_;
+  out.retired_base_ = retired_base_;
+  out.live_delta_rows_ = live_delta_rows_;
   return out;
 }
 

@@ -1,55 +1,57 @@
-// Row-major delta store for incremental ad ingestion. Between engine
-// snapshots, InsertAd appends row-major Records here and RetireAd sets
-// tombstones — no index rebuild, no column-store re-encode. Queries union
-// the base table's (index-driven) result with a row-at-a-time scan of the
-// live delta rows (db/row_match.h — the seed executor's value semantics),
-// masking tombstoned base rows; a background compaction later merges the
-// survivors into a fresh partitioned table and the delta starts empty
-// again.
+// Columnar delta store for incremental ad ingestion. Between engine
+// snapshots, InsertAd appends rows to an index-free db::Table — the same
+// dictionary codes, element postings and cached shorthand norms as a base
+// ColumnStore — and RetireAd sets tombstones: no index rebuild, no base
+// re-encode. Queries union the base table's (index-driven) result with a
+// scan of the live delta rows through the base store's own machinery
+// (CompilePredicate against the delta's dictionaries, SimScorer::ScoreBlock
+// over its codes), masking tombstoned base rows; a background compaction
+// later merges the survivors into a fresh partitioned table and the delta
+// starts empty again.
 //
 // Global row ids: base-table rows keep their RowIds; delta row i is
-// addressed as base_rows + i. Retired delta rows keep their slot (the ids
-// of later delta rows stay stable); they are simply masked from scans.
+// addressed as base_rows + i and is row i of table(). Retired delta rows
+// keep their slot (the ids of later delta rows stay stable); they are
+// simply masked from scans.
 //
 // Thread-safety: a DeltaStore is mutable and externally synchronized (the
 // engine's builder mutates it under the engine mutex). The hot path never
-// sees this object — each snapshot publication freezes a copy
-// (shared_ptr<const DeltaStore>) that is immutable thereafter, the same
-// discipline as every other snapshot component.
+// sees this object — each snapshot publication freezes a copy (FrozenCopy:
+// the columns without their intern tables) that is immutable thereafter,
+// the same discipline as every other snapshot component.
 #ifndef CQADS_DB_STORAGE_DELTA_STORE_H_
 #define CQADS_DB_STORAGE_DELTA_STORE_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "db/indexes.h"
 #include "db/schema.h"
-#include "db/storage/column_store.h"
+#include "db/table.h"
 
 namespace cqads::db {
-
-class Table;
 
 class DeltaStore {
  public:
   /// `base_rows` is the row count of the table this delta rides on; it
   /// fixes the global-id split point.
   DeltaStore(Schema schema, std::size_t base_rows)
-      : schema_(std::move(schema)), base_rows_(base_rows) {}
+      : table_(std::move(schema)), base_rows_(base_rows) {}
 
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const { return table_.schema(); }
   std::size_t base_rows() const { return base_rows_; }
 
   /// Delta rows appended so far, including retired slots.
-  std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_rows() const { return table_.num_rows(); }
 
   /// Global row-id space the union query answers over.
-  std::size_t total_rows() const { return base_rows_ + rows_.size(); }
+  std::size_t total_rows() const { return base_rows_ + num_rows(); }
 
   /// True when the delta changes nothing: no live or retired inserts, no
   /// masked base rows. Queries skip the hybrid path entirely.
-  bool empty() const { return rows_.empty() && retired_base_.empty(); }
+  bool empty() const { return num_rows() == 0 && retired_base_.empty(); }
 
   /// Appends a record (validated against the schema). Returns the GLOBAL
   /// RowId (base_rows + local index).
@@ -60,14 +62,16 @@ class DeltaStore {
   /// row fails with NotFound.
   Status Retire(RowId global_row);
 
-  /// The record of delta slot `i` (0-based local index).
-  const Record& record(std::size_t i) const { return rows_[i]; }
+  /// The delta rows, slot i as row i (retired slots included): an
+  /// index-free table whose store the compiled predicates and ScoreBlock
+  /// read with LOCAL row ids.
+  const Table& table() const { return table_; }
 
   bool delta_retired(std::size_t i) const { return retired_delta_[i] != 0; }
 
   /// Cell of a GLOBAL row id >= base_rows.
   const Value& cell(RowId global_row, std::size_t attr) const {
-    return rows_[global_row - base_rows_][attr];
+    return table_.cell(static_cast<RowId>(global_row - base_rows_), attr);
   }
 
   /// Tombstoned base rows, sorted ascending (for DifferenceSets masking).
@@ -82,11 +86,17 @@ class DeltaStore {
   /// invariant the ingest tests pin.
   std::vector<Record> MergedRecords(const Table& base) const;
 
+  /// The immutable copy a snapshot publishes: same rows and tombstones,
+  /// columns copied without their intern tables (Insert then fails).
+  DeltaStore FrozenCopy() const;
+
  private:
-  Schema schema_;
+  DeltaStore(Table table, std::size_t base_rows)
+      : table_(std::move(table)), base_rows_(base_rows) {}
+
+  Table table_;
   std::size_t base_rows_ = 0;
-  std::vector<Record> rows_;
-  std::vector<char> retired_delta_;  ///< parallel to rows_, 1 = tombstoned
+  std::vector<char> retired_delta_;  ///< parallel to table_ rows, 1 = retired
   RowSet retired_base_;              ///< sorted ascending
   std::size_t live_delta_rows_ = 0;
 };

@@ -7,14 +7,20 @@ namespace cqads::db {
 Result<RowId> Table::Insert(Record record) {
   if (store_.frozen()) {
     return Status::FailedPrecondition(
-        "table was loaded from a mapped snapshot and is read-only; "
-        "route new ads through DeltaStore ingest");
+        "table is a frozen read-only store (mapped snapshot or published "
+        "copy); route new ads through DeltaStore ingest");
   }
   CQADS_RETURN_NOT_OK(ValidateRecord(schema_, record));
   const RowId id = store_.Append(record);
   indexes_built_ = false;
   stats_.reset();
   return id;
+}
+
+Table Table::FrozenCopy() const {
+  Table out(schema_);
+  out.store_ = store_.FrozenCopy();
+  return out;
 }
 
 void Table::BuildIndexes() {

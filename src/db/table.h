@@ -44,6 +44,10 @@ class Table {
   /// Appends a record; fails on arity or kind mismatch. Returns the RowId.
   Result<RowId> Insert(Record record);
 
+  /// A read-only copy of the rows (ColumnStore::FrozenCopy), without
+  /// indexes or statistics. How an ingest delta is published to queries.
+  Table FrozenCopy() const;
+
   /// Builds all indexes and collects column statistics. Must be called
   /// after the last Insert and before queries; repeated calls rebuild from
   /// scratch.

@@ -537,11 +537,10 @@ Status SerdeAccess::ReadColumnStore(ByteReader* r, const ArenaPtr& owner,
     col.dict_spans = common::PodVec<db::ColumnStore::DictSpan>::View(
         spans, n_spans, owner);
     col.packed = common::PodVec<double>::View(packed, n_packed, owner);
-    // Intern tables deliberately stay empty: Append is forbidden on a
-    // frozen store; ingest goes through DeltaStore heap generations.
-    col.dict_lookup.clear();
-    col.elem_lookup.clear();
   }
+  // Intern tables deliberately stay empty: Append is forbidden on a frozen
+  // store; ingest goes through DeltaStore heap generations.
+  out->interns_.clear();
   out->num_rows_ = static_cast<std::size_t>(num_rows);
   out->frozen_ = true;
   return Status::OK();

@@ -1,21 +1,26 @@
 // Incremental ingestion: DeltaStore semantics (insert, tombstones, global
-// id stability), hybrid base∪delta execution parity, retire-then-reinsert,
-// single-row deltas, and the compaction invariant — after CompactDomain the
-// engine answers byte-identically to an engine rebuilt from scratch on the
-// merged rows. Also the compaction-racing-a-snapshot-swap test the TSan CI
-// job runs.
+// id stability), hybrid base∪delta execution parity — fixed cases plus a
+// seeded ingest/retire differential over the columnar delta — retire-then-
+// reinsert, single-row deltas, delta scorer isolation, and the compaction
+// invariant — after CompactDomain the engine answers byte-identically to
+// an engine rebuilt from scratch on the merged rows, and a delta row keeps
+// its partial score bit for bit. Also the compaction-racing-a-snapshot-swap
+// test the TSan CI job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/answer_table.h"
 #include "core/cqads_engine.h"
 #include "db/exec/delta_exec.h"
 #include "db/executor.h"
 #include "db/storage/delta_store.h"
 #include "test_fixtures.h"
+#include "wordsim/ws_matrix.h"
 
 namespace cqads {
 namespace {
@@ -159,11 +164,196 @@ TEST(HybridExecTest, MatchesMergedTableRecordForRecord) {
       const db::RowId h = hybrid.value().rows[i];
       db::Record got = h < base.num_rows()
                            ? base.row(h)
-                           : delta.record(h - base.num_rows());
+                           : delta.table().row(h - base.num_rows());
       EXPECT_EQ(got, merged.row(expected.value().rows[i]))
           << "query " << qi << " answer " << i;
     }
   }
+}
+
+/// Builds a random car ad over value pools that exercise the columnar
+/// delta's matching rules: shorthand spellings ("4dr", "auto"), TextList
+/// cells with padding and empty members, NULL cells, and prices that render
+/// with and without trailing zeros.
+db::Record RandomCarRecord(Rng* rng) {
+  static const char* kMakes[] = {"honda", "toyota", "ford", "kia"};
+  static const char* kModels[] = {"accord", "camry", "focus", "soul"};
+  static const char* kColors[] = {"blue", "gold", "silver", "red", nullptr};
+  static const char* kTransmissions[] = {"automatic", "auto", "manual",
+                                         nullptr};
+  static const char* kDoors[] = {"4 door", "4dr", "2 door", "2dr", nullptr};
+  static const char* kFeatures[] = {"cd player;bluetooth", "gps",
+                                    " cd player ; ;sunroof", "power steering",
+                                    nullptr};
+  static const double kPrices[] = {8900.50, 8900.0, 9500.0, 12000.0, 5899.0};
+  auto pick = [&](const char* const* pool, std::size_t n) {
+    const char* v = pool[rng->UniformIndex(n)];
+    return v == nullptr ? db::Value::Null() : db::Value::Text(v);
+  };
+  db::Record r;
+  r.push_back(pick(kMakes, 4));
+  r.push_back(pick(kModels, 4));
+  r.push_back(db::Value::Real(
+      2000 + static_cast<double>(rng->UniformInt(0, 12))));
+  r.push_back(rng->Bernoulli(0.1)
+                  ? db::Value::Null()
+                  : db::Value::Real(kPrices[rng->UniformIndex(5)]));
+  r.push_back(db::Value::Real(
+      1000.0 * static_cast<double>(rng->UniformInt(10, 150))));
+  r.push_back(pick(kColors, 5));
+  r.push_back(pick(kTransmissions, 4));
+  r.push_back(pick(kDoors, 5));
+  r.push_back(db::Value::Text("2 wheel drive"));
+  r.push_back(pick(kFeatures, 5));
+  return r;
+}
+
+db::ExprPtr Leaf(db::Predicate p) {
+  return db::Expr::MakePredicate(std::move(p));
+}
+
+db::Predicate NumPred(std::size_t attr, db::CompareOp op, db::Value v) {
+  db::Predicate p;
+  p.attr = attr;
+  p.op = op;
+  p.value = std::move(v);
+  return p;
+}
+
+/// The differential suite's queries: shorthand needles, TextList members,
+/// numeric kContains, kNe over NULL cells, OR and NOT trees, a superlative
+/// and match-all.
+std::vector<db::Query> DifferentialQueries() {
+  using db::CompareOp;
+  std::vector<db::ExprPtr> wheres;
+  wheres.push_back(Leaf(TextPred(7, "4dr")));
+  wheres.push_back(Leaf(TextPred(7, "4 door")));
+  wheres.push_back(Leaf(TextPred(6, "auto")));
+  wheres.push_back(Leaf(TextPred(6, "automatic")));
+  wheres.push_back(Leaf(TextPred(9, "cd player")));
+  wheres.push_back(Leaf(TextPred(9, "sun", CompareOp::kContains)));
+  wheres.push_back(
+      Leaf(NumPred(3, CompareOp::kContains, db::Value::Text("8900.5"))));
+  wheres.push_back(
+      Leaf(NumPred(3, CompareOp::kContains, db::Value::Real(8900.50))));
+  wheres.push_back(Leaf(TextPred(5, "blue", CompareOp::kNe)));
+  wheres.push_back(Leaf(NumPred(3, CompareOp::kNe, db::Value::Real(8900.0))));
+  {
+    std::vector<db::ExprPtr> any;
+    any.push_back(Leaf(TextPred(0, "kia")));
+    any.push_back(db::Expr::MakeNot(Leaf(TextPred(7, "2 door"))));
+    wheres.push_back(db::Expr::MakeOr(std::move(any)));
+  }
+  {
+    std::vector<db::ExprPtr> all;
+    all.push_back(Leaf(NumPred(3, CompareOp::kLt, db::Value::Real(10000))));
+    all.push_back(db::Expr::MakeNot(Leaf(TextPred(5, "gold"))));
+    std::vector<db::ExprPtr> any;
+    any.push_back(Leaf(TextPred(9, "bluetooth")));
+    any.push_back(Leaf(TextPred(6, "manual")));
+    all.push_back(db::Expr::MakeOr(std::move(any)));
+    wheres.push_back(db::Expr::MakeAnd(std::move(all)));
+  }
+  std::vector<db::Query> queries;
+  for (auto& w : wheres) {
+    db::Query q;
+    q.where = std::move(w);
+    q.limit = 1000;
+    queries.push_back(std::move(q));
+  }
+  {
+    db::Query q;  // cheapest two non-gold cars across base and delta
+    q.where = db::Expr::MakeNot(Leaf(TextPred(5, "gold")));
+    q.superlative = db::Superlative{3, true};
+    q.limit = 2;
+    queries.push_back(std::move(q));
+  }
+  {
+    db::Query q;  // match-all
+    q.limit = 1000;
+    queries.push_back(std::move(q));
+  }
+  return queries;
+}
+
+/// Seeded ingest and retire streams: after every step, ExecuteHybrid over
+/// base ∪ columnar delta returns, record for record, what the seed executor
+/// returns over one table holding exactly the live rows.
+TEST(HybridExecTest, RandomIngestRetireStreamsMatchLiveRowTable) {
+  const db::Table base = testing::MiniCarTable();
+  const std::vector<db::Query> queries = DifferentialQueries();
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    db::DeltaStore delta(base.schema(), base.num_rows());
+    std::vector<db::RowId> live;
+    for (db::RowId r = 0; r < base.num_rows(); ++r) live.push_back(r);
+    for (int step = 0; step < 40; ++step) {
+      if (live.empty() || rng.Bernoulli(0.65)) {
+        auto id = delta.Insert(RandomCarRecord(&rng));
+        ASSERT_TRUE(id.ok()) << id.status();
+        live.push_back(id.value());
+      } else {
+        const std::size_t victim = rng.UniformIndex(live.size());
+        ASSERT_TRUE(delta.Retire(live[victim]).ok());
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+      // Each step is checked against the published (frozen) copy, the
+      // form queries actually see.
+      const db::DeltaStore frozen = delta.FrozenCopy();
+      db::Table merged(base.schema());
+      for (auto& rec : frozen.MergedRecords(base)) {
+        ASSERT_TRUE(merged.Insert(std::move(rec)).ok());
+      }
+      merged.BuildIndexes();
+      ASSERT_EQ(merged.num_rows(), live.size());
+      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+        auto hybrid = db::exec::ExecuteHybrid(base, frozen, queries[qi], {});
+        auto expected = db::ExecuteQuery(merged, queries[qi]);
+        ASSERT_TRUE(hybrid.ok() && expected.ok());
+        const auto& got = hybrid.value().rows;
+        const auto& want = expected.value().rows;
+        ASSERT_EQ(got.size(), want.size())
+            << "seed " << seed << " step " << step << " query " << qi;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const db::Record rec =
+              got[i] < base.num_rows()
+                  ? base.row(got[i])
+                  : frozen.table().row(got[i] - base.num_rows());
+          EXPECT_EQ(rec, merged.row(want[i]))
+              << "seed " << seed << " step " << step << " query " << qi
+              << " answer " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DeltaStoreTest, FrozenCopyIsReadOnlyAndComplete) {
+  db::Table base = testing::MiniCarTable();
+  db::DeltaStore delta(base.schema(), base.num_rows());
+  ASSERT_TRUE(delta
+                  .Insert(CarRecord("kia", "soul", 2012, 11000, 25000, "green",
+                                    "manual", "4dr", "2 wheel drive",
+                                    "usb; gps"))
+                  .ok());
+  ASSERT_TRUE(delta.Retire(3).ok());
+  db::DeltaStore frozen = delta.FrozenCopy();
+  EXPECT_EQ(frozen.num_rows(), 1u);
+  EXPECT_EQ(frozen.retired_base(), delta.retired_base());
+  EXPECT_EQ(frozen.cell(13, 7), db::Value::Text("4dr"));
+  EXPECT_EQ(frozen.table().CellElements(0, 9),
+            (std::vector<std::string>{"usb", "gps"}));
+  EXPECT_TRUE(frozen.table().store().frozen());
+  EXPECT_EQ(frozen.Insert(CarRecord("a", "b", 1, 1, 1, "c", "d", "e", "f",
+                                    "g"))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  // The pending store keeps appending.
+  EXPECT_TRUE(delta
+                  .Insert(CarRecord("fiat", "500", 2013, 12000, 20000, "white",
+                                    "manual", "2 door", "2 wheel drive", "gps"))
+                  .ok());
 }
 
 // ------------------------------------------------- engine integration
@@ -190,9 +380,10 @@ class IngestEngineTest : public ::testing::Test {
     if (!r.ok() || rt == nullptr) return out;
     for (const auto& a : r.value().answers) {
       if (!a.exact) continue;
-      out.push_back(a.row < rt->table->num_rows()
+      const std::size_t base_rows = rt->table->num_rows();
+      out.push_back(a.row < base_rows
                         ? rt->table->row(a.row)
-                        : rt->delta->record(a.row - rt->table->num_rows()));
+                        : rt->delta->table().row(a.row - base_rows));
     }
     return out;
   }
@@ -340,6 +531,69 @@ TEST_F(IngestEngineTest, CompactionMatchesFromScratchRebuild) {
   for (const auto& q : questions) {
     EXPECT_EQ(CanonicalAsk(engine_, q), CanonicalAsk(twin, q)) << q;
   }
+}
+
+/// Delta rows are batch-scored with their own SimScorer: its code-tuple
+/// memo must never answer for base codes. Here base color code 0 is "blue"
+/// (similar to the asked "gold") while delta color code 0 is "red" (not):
+/// a delta that borrowed the base memo would rank the red accord like a
+/// blue one. The top-k path must equal the per-row reference, and each
+/// delta row's rank_sim must survive compaction bit for bit.
+TEST(DeltaRankTest, DeltaScorerIsolatedAndStableAcrossCompaction) {
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 8; ++i) {
+    corpus.push_back("gold blue paint clean");
+    corpus.push_back("red green interior");
+  }
+  const wordsim::WsMatrix ws = wordsim::WsMatrix::Build(corpus);
+  db::Table table = testing::MiniCarTable();
+  core::CqadsEngine engine;
+  engine.SetWordSimilarity(&ws);
+  ASSERT_TRUE(engine.AddDomain(&table, qlog::TiMatrix()).ok());
+  ASSERT_TRUE(engine.TrainClassifier().ok());
+  for (const char* color : {"red", "blue", "green"}) {
+    ASSERT_TRUE(engine
+                    .IngestAd("cars", CarRecord("honda", "accord", 2008, 9900,
+                                                70000, color, "automatic",
+                                                "4 door", "2 wheel drive",
+                                                "cd player"))
+                    .ok());
+  }
+  const std::string question = "gold honda accord";
+  auto ask = [&](bool topk) {
+    core::EngineOptions options;
+    options.use_topk_rank = topk;
+    engine.SetOptions(options);
+    auto r = engine.AskInDomain("cars", question);
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r.value() : core::AskResult();
+  };
+  const core::AskResult reference = ask(false);
+  const core::AskResult served = ask(true);
+  EXPECT_EQ(core::CanonicalAskResultString(served),
+            core::CanonicalAskResultString(reference));
+
+  // The delta rows rank as partial answers, and the red one scores below
+  // the blue one (the memo-sharing failure would tie them).
+  std::map<db::RowId, double> delta_scores;
+  for (const auto& a : served.answers) {
+    if (!a.exact && a.row >= table.num_rows()) delta_scores[a.row] = a.rank_sim;
+  }
+  ASSERT_EQ(delta_scores.size(), 3u);
+  const db::RowId red = 13, blue = 14;
+  EXPECT_LT(delta_scores[red], delta_scores[blue]);
+
+  // No retirements, so compaction keeps every global id.
+  ASSERT_TRUE(engine.CompactDomain("cars").ok());
+  const core::AskResult compacted = ask(true);
+  std::size_t seen = 0;
+  for (const auto& a : compacted.answers) {
+    auto it = delta_scores.find(a.row);
+    if (it == delta_scores.end() || a.exact) continue;
+    ++seen;
+    EXPECT_EQ(a.rank_sim, it->second) << "row " << a.row;
+  }
+  EXPECT_EQ(seen, delta_scores.size());
 }
 
 /// Ingest + compaction with a PARTITIONED store: the compacted table is

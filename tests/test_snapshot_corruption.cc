@@ -49,7 +49,10 @@ std::vector<unsigned char> Slurp(const std::string& path) {
 void Spit(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // fwrite's buffer argument must not be null, even for zero bytes.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
