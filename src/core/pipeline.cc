@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -123,6 +124,39 @@ Result<db::QueryResult> RunQuery(const EngineSnapshot& s,
   }
   if (src.plan != nullptr) return src.plan->Execute(src.vectorize);
   return db::ExecuteQuery(*rt.table, query);
+}
+
+/// One N-1 relaxation pass (`dropped`) as a raw row set for the top-k
+/// sweep's bitmap dedup. The precompiled monolithic plan with no live delta
+/// hands over its LazyRowSet as the nodes produced it (a bitmap stays a
+/// bitmap); every other path (delta/hybrid, partitioned, seed executor,
+/// defensive compile) runs RunQuery, whose uncapped, superlative-free
+/// result is that same set as a sorted row list.
+Result<db::exec::LazyRowSet> RunRelaxedPass(const EngineSnapshot& s,
+                                            const DomainRuntime& rt,
+                                            const ParsedQuestion& parsed,
+                                            std::size_t dropped,
+                                            std::size_t total_rows,
+                                            const ExecControl* control,
+                                            db::ExecStats* stats) {
+  const EngineOptions& options = s.options();
+  const db::exec::PhysicalPlan* plan =
+      dropped < parsed.relaxed_plans.size()
+          ? parsed.relaxed_plans[dropped].get()
+          : nullptr;
+  if (options.use_planner && plan != nullptr && !UsePartitions(rt) &&
+      rt.live_delta() == nullptr) {
+    return plan->ExecuteLazy(stats, options.use_vector_kernels);
+  }
+  const db::exec::PartitionedPlan* part_plan =
+      dropped < parsed.relaxed_part_plans.size()
+          ? parsed.relaxed_part_plans[dropped].get()
+          : nullptr;
+  auto rel = RunQuery(s, rt, MakeRelaxedQuery(parsed, dropped, total_rows),
+                      part_plan, plan, nullptr, control);
+  if (!rel.ok()) return rel.status();
+  *stats += rel.value().stats;
+  return db::exec::LazyRowSet::FromRows(std::move(rel.value().rows));
 }
 
 // ---------------------------------------------------------------------------
@@ -594,11 +628,12 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
                      require_positive);
     };
 
-    // One unit of sweep work: rows [lo, hi) of rank block `block` — the
-    // block's row range in the single-condition sweep, a slice of the
-    // row-ordered candidate list in an N-1 pass.
+    // One unit of sweep work: the candidates of rank block `block` — every
+    // row of the block in the single-condition sweep, the block's deduped
+    // N-1 candidates in a relaxation pass. `rows` counts them (pruning
+    // accounting) without gathering them.
     struct Run {
-      std::size_t block, lo, hi;
+      std::size_t block, rows;
     };
     std::vector<Run> runs;
     // The one visit loop both sweeps share. With bounds, runs are visited
@@ -627,7 +662,7 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
              exact_part + ub[run.block] <
                  shared_threshold.load(std::memory_order_relaxed))) {
           ++sl.blocks_skipped;
-          sl.rows_pruned += run.hi - run.lo;
+          sl.rows_pruned += run.rows;
         } else {
           ++sl.blocks_visited;
           gather(run, &sl.rows);
@@ -641,26 +676,40 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     };
 
     if (units.size() >= 2) {
-      // N-1 relaxation passes stay SEQUENTIAL and dedup in row order — the
-      // first pass that reaches a row owns its measure label, exactly like
-      // the serial path. Only the scoring inside a pass is reordered.
-      std::vector<db::RowId> cand_base, cand_delta;
+      // N-1 relaxation passes stay SEQUENTIAL — the first pass that reaches
+      // a row owns its measure label, exactly like the serial path. Each
+      // pass arrives as a bitmap over [0, total_rows) and is deduped word
+      // by word: cand = pass & ~already; already |= pass. Runs are built
+      // from the rank blocks holding base candidates, sized by popcount;
+      // row ids are gathered only for the blocks the sweep visits. Rows at
+      // or past base_rows (the tail of the block straddling the boundary,
+      // and beyond) are delta candidates, scored after the base sweep.
+      constexpr std::size_t kWordsPerBlock = db::exec::kRankBlockRows / 64;
+      static_assert(db::exec::kRankBlockRows % 64 == 0,
+                    "rank blocks are whole bitmap words");
+      const std::size_t base_words = base_rows / 64;  // wholly base rows
+      const std::uint64_t base_tail =
+          (std::uint64_t{1} << (base_rows % 64)) - 1;  // base bits of the
+                                                       // boundary word
+      auto base_bits = [&](std::size_t w, std::uint64_t bits) {
+        return w < base_words ? bits : w == base_words ? bits & base_tail : 0;
+      };
+      // Appends the rows of word `w`'s set `bits`, less `offset`, ascending.
+      auto emit_word = [](std::size_t w, std::uint64_t bits,
+                          std::size_t offset, std::vector<db::RowId>* out) {
+        for (; bits != 0; bits &= bits - 1) {
+          out->push_back(static_cast<db::RowId>(
+              w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)) -
+              offset));
+        }
+      };
       for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
         if (control.Expired()) {
           degraded = true;
           break;
         }
-        const db::exec::PartitionedPlan* part_plan =
-            dropped < parsed.relaxed_part_plans.size()
-                ? parsed.relaxed_part_plans[dropped].get()
-                : nullptr;
-        const db::exec::PhysicalPlan* plan =
-            dropped < parsed.relaxed_plans.size()
-                ? parsed.relaxed_plans[dropped].get()
-                : nullptr;
-        auto rel =
-            RunQuery(s, rt, MakeRelaxedQuery(parsed, dropped, total_rows),
-                     part_plan, plan, nullptr, &control);
+        auto rel = RunRelaxedPass(s, rt, parsed, dropped, total_rows,
+                                  &control, &out.stats);
         if (!rel.ok()) {
           if (rel.status().code() == StatusCode::kDeadlineExceeded) {
             degraded = true;
@@ -668,47 +717,57 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           }
           continue;
         }
-        out.stats += rel.value().stats;
-        cand_base.clear();
-        cand_delta.clear();
-        for (db::RowId row : rel.value().rows) {
-          if (already.Test(row)) continue;
-          already.Set(row);
-          if (row < base_rows) {
-            cand_base.push_back(row);
-          } else {
-            cand_delta.push_back(static_cast<db::RowId>(row - base_rows));
-          }
-        }
-        // Candidates arrive in row order, so same-block runs are contiguous.
+        // A plan bitmap spans the base table, which is all of [0,
+        // total_rows) on the only path that yields one (no live delta).
+        db::exec::LazyRowSet& pass_set = rel.value();
+        db::exec::RowBitmap cand =
+            pass_set.is_bitmap()
+                ? std::move(*pass_set.bitmap)
+                : db::exec::RowBitmap::FromSet(pass_set.rows, total_rows);
+        assert(cand.universe() == total_rows);
+        std::uint64_t* c = cand.word_data();
+        std::uint64_t* a = already.word_data();
+        const std::size_t n_words = already.word_count();
         runs.clear();
-        for (std::size_t i = 0; i < cand_base.size();) {
-          const std::size_t b = cand_base[i] / db::exec::kRankBlockRows;
-          std::size_t j = i + 1;
-          while (j < cand_base.size() &&
-                 cand_base[j] / db::exec::kRankBlockRows == b) {
-            ++j;
+        std::size_t cand_base = 0;
+        for (std::size_t w0 = 0; w0 < n_words; w0 += kWordsPerBlock) {
+          const std::size_t w1 = std::min(w0 + kWordsPerBlock, n_words);
+          std::size_t count = 0;
+          for (std::size_t w = w0; w < w1; ++w) {
+            const std::uint64_t fresh = c[w] & ~a[w];
+            a[w] |= c[w];
+            c[w] = fresh;
+            count += static_cast<std::size_t>(
+                __builtin_popcountll(base_bits(w, fresh)));
           }
-          runs.push_back(Run{b, i, j});
-          i = j;
+          if (count != 0) {
+            runs.push_back(Run{w0 / kWordsPerBlock, count});
+            cand_base += count;
+          }
         }
         const bool prunable =
-            rb != nullptr && cand_base.size() >= kMinRankRowsForBounds &&
+            rb != nullptr && cand_base >= kMinRankRowsForBounds &&
             scorer->ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
-        const bool par_pass = runner != nullptr &&
-                              cand_base.size() >=
-                                  db::exec::kMinRowsForParallelExec;
+        const bool par_pass =
+            runner != nullptr && cand_base >= db::exec::kMinRowsForParallelExec;
+        const std::uint64_t* cw = cand.word_data();
         const bool finished = sweep(
             prunable, dropped, /*require_positive=*/false, par_pass,
             [&](const Run& run, std::vector<db::RowId>* rows) {
-              rows->insert(rows->end(), cand_base.begin() + run.lo,
-                           cand_base.begin() + run.hi);
+              const std::size_t w0 = run.block * kWordsPerBlock;
+              const std::size_t w1 = std::min(w0 + kWordsPerBlock, n_words);
+              for (std::size_t w = w0; w < w1; ++w) {
+                emit_word(w, base_bits(w, cw[w]), 0, rows);
+              }
             });
         if (!finished) {
           degraded = true;
           break;
         }
-        slots.slot(0).rows.assign(cand_delta.begin(), cand_delta.end());
+        for (std::size_t w = base_words; w < n_words; ++w) {
+          emit_word(w, cw[w] & ~base_bits(w, ~std::uint64_t{0}), base_rows,
+                    &slots.slot(0).rows);
+        }
         score_delta(dropped, /*require_positive=*/false);
       }
     } else {
@@ -720,9 +779,9 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           db::exec::kRankBlockRows;
       runs.reserve(nb);
       for (std::size_t b = 0; b < nb; ++b) {
-        runs.push_back(Run{b, b * db::exec::kRankBlockRows,
-                           std::min((b + 1) * db::exec::kRankBlockRows,
-                                    base_rows)});
+        runs.push_back(Run{b, std::min((b + 1) * db::exec::kRankBlockRows,
+                                       base_rows) -
+                                  b * db::exec::kRankBlockRows});
       }
       const bool prunable = rb != nullptr &&
                             base_rows >= kMinRankRowsForBounds &&
@@ -732,7 +791,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           base_rows >= db::exec::kMinRowsForParallelExec;
       if (!sweep(prunable, 0, /*require_positive=*/true, par_sweep,
                  [&](const Run& run, std::vector<db::RowId>* rows) {
-                   for (std::size_t r = run.lo; r < run.hi; ++r) {
+                   const std::size_t lo = run.block * db::exec::kRankBlockRows;
+                   for (std::size_t r = lo; r < lo + run.rows; ++r) {
                      const auto row = static_cast<db::RowId>(r);
                      if (!already.Test(row) && is_live(row)) {
                        rows->push_back(row);

@@ -179,14 +179,21 @@ IndexScanNode::IndexScanNode(const Table* table, CompiledPredicate cp,
 RowSet IndexScanNode::Execute(ExecStats* stats) const {
   ++stats->index_lookups;
   const HashIndex* idx = table_->hash_index(cp_.pred.attr);
-  RowSet eq;
-  for (const auto& key : keys_) {
-    eq = UnionSets(eq, idx->Lookup(key), table_->num_rows());
+  // One key (the common case: no shorthand variant in the index) reads its
+  // postings in place; only several keys need a merged set.
+  RowSet merged;
+  const RowSet* eq = &merged;
+  if (keys_.size() == 1) {
+    eq = &idx->Lookup(keys_[0]);
+  } else {
+    for (const auto& key : keys_) {
+      merged = UnionSets(merged, idx->Lookup(key), table_->num_rows());
+    }
   }
   if (cp_.pred.op == CompareOp::kNe) {
-    return DifferenceSets(table_->AllRows(), eq, table_->num_rows());
+    return DifferenceSets(table_->AllRows(), *eq, table_->num_rows());
   }
-  return eq;
+  return *eq;
 }
 
 void IndexScanNode::Explain(std::string* out, int depth) const {
@@ -373,23 +380,31 @@ LazyRowSet FilterNode::ExecuteLazy(ExecStats* stats) const {
   const ColumnStore& store = table_->store();
 
   if (!child.is_bitmap()) {
-    // Sparse survivors: per-distinct-cell tables would not amortize over a
-    // few probes, so run the scalar single-pass conjunction.
-    if (child.rows.empty()) return child;
-    stats->rows_verified += child.rows.size();
-    stats->rows_visited += child.rows.size();
-    RowSet out;
-    for (RowId row : child.rows) {
-      bool keep = true;
-      for (const auto& cp : residual_) {
-        if (!cp.Matches(store, row)) {
-          keep = false;
-          break;
-        }
+    // Row-list survivors: one in-place compaction pass per residual, in
+    // planner order. A residual whose surviving rows number at least its
+    // column's distinct cells tests them through BlockPredicate's
+    // per-dictionary-code table (built in O(distinct cells), then one code
+    // load per row); fewer rows than that would not pay for the table, so
+    // they take CompiledPredicate::Matches. Both give the same rows.
+    RowSet rows = std::move(child.rows);
+    stats->rows_verified += rows.size();
+    stats->rows_visited += rows.size();
+    for (const auto& cp : residual_) {
+      if (rows.empty()) break;
+      if (rows.size() >= store.dictionary(cp.pred.attr).size()) {
+        const BlockPredicate bp(store, cp);
+        rows.erase(std::remove_if(rows.begin(), rows.end(),
+                                  [&](RowId r) { return !bp.Test(r); }),
+                   rows.end());
+      } else {
+        rows.erase(std::remove_if(rows.begin(), rows.end(),
+                                  [&](RowId r) {
+                                    return !cp.Matches(store, r);
+                                  }),
+                   rows.end());
       }
-      if (keep) out.push_back(row);
     }
-    return LazyRowSet::FromRows(std::move(out));
+    return LazyRowSet::FromRows(std::move(rows));
   }
 
   // Dense survivors: AND every residual's selection mask into the child's
@@ -531,14 +546,21 @@ PhysicalPlan::PhysicalPlan(const Table* table, PlanNodePtr root,
       superlative_(superlative),
       limit_(limit) {}
 
-Result<RowSet> PhysicalPlan::ExecuteRowSet(ExecStats* stats,
-                                           bool vectorize) const {
+Result<LazyRowSet> PhysicalPlan::ExecuteLazy(ExecStats* stats,
+                                             bool vectorize) const {
   if (!table_->indexes_built()) {
     return Status::FailedPrecondition("table indexes not built");
   }
-  if (root_ == nullptr) return table_->AllRows();
-  if (vectorize) return root_->ExecuteLazy(stats).ToRows();
-  return root_->Execute(stats);
+  if (root_ == nullptr) return LazyRowSet::FromRows(table_->AllRows());
+  if (vectorize) return root_->ExecuteLazy(stats);
+  return LazyRowSet::FromRows(root_->Execute(stats));
+}
+
+Result<RowSet> PhysicalPlan::ExecuteRowSet(ExecStats* stats,
+                                           bool vectorize) const {
+  auto rows = ExecuteLazy(stats, vectorize);
+  if (!rows.ok()) return rows.status();
+  return std::move(rows).value().ToRows();
 }
 
 Result<QueryResult> PhysicalPlan::Execute(bool vectorize) const {

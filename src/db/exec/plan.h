@@ -6,12 +6,15 @@
 //
 // Node vocabulary:
 //   IndexScanNode      hash-index equality seed (keys resolved at compile
-//                      time, shorthand variants included)
+//                      time, shorthand variants included; one key returns
+//                      its postings without a merge)
 //   RangeScanNode      sorted-index range/equality over a numeric column
 //   SubstringScanNode  n-gram candidate fetch + columnar verification
 //   FullScanFilterNode columnar scan of every row
 //   FilterNode         residual predicates verified over a child's rows,
-//                      in planner (selectivity) order
+//                      in planner (selectivity) order: block masks over a
+//                      bitmap child, per-dictionary-code tables (or
+//                      Matches, for few rows) over a row-list child
 //   IntersectNode / UnionNode / NotNode
 //                      set algebra; each call picks sorted-vector or bitmap
 //                      representation by density (db/exec/rowset_ops.h)
@@ -19,6 +22,12 @@
 // Every node returns a sorted, duplicate-free RowSet, which is what makes
 // planner-chosen predicate orders answer-identical to the seed executor's
 // §4.3 Type-rank order: conjunction reordering changes work, never the set.
+//
+// N-1 candidate generation (core/pipeline.cc RankStage) runs one relaxed
+// plan per dropped unit through PhysicalPlan::ExecuteLazy and never
+// materializes its rows: the pass arrives as a bitmap, is deduped against
+// the rows already answered one 64-row word at a time, and row ids are
+// gathered only for the 1024-row rank blocks the sweep visits.
 #ifndef CQADS_DB_EXEC_PLAN_H_
 #define CQADS_DB_EXEC_PLAN_H_
 
@@ -169,8 +178,10 @@ class FilterNode : public PlanNode {
   /// full re-scan of the surviving set per predicate.
   RowSet Execute(ExecStats* stats) const override;
   /// Dense child: AND each residual's block mask into the child's bitmap,
-  /// skipping blocks whose mask is already empty. Sparse child: one scalar
-  /// pass (building per-distinct-cell tables wouldn't amortize).
+  /// skipping blocks whose mask is already empty. Row-list child: one
+  /// compaction pass per residual, through the per-distinct-cell table
+  /// (BlockPredicate::Test) once the rows reaching that residual number at
+  /// least its column's distinct cells, through Matches below that.
   LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
@@ -237,6 +248,11 @@ class PhysicalPlan {
   /// globally (applying a per-shard cap first would drop rows the global
   /// superlative should have kept).
   Result<RowSet> ExecuteRowSet(ExecStats* stats, bool vectorize = true) const;
+
+  /// ExecuteRowSet without materializing: the root's LazyRowSet as the
+  /// nodes produced it (a bitmap over [0, num_rows) stays one). The rank
+  /// stage's N-1 passes take this form and dedup it word by word.
+  Result<LazyRowSet> ExecuteLazy(ExecStats* stats, bool vectorize = true) const;
 
   const std::optional<Superlative>& superlative() const { return superlative_; }
   std::size_t limit() const { return limit_; }

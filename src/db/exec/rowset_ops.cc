@@ -12,7 +12,23 @@ bool UseBitmap(const RowSet& a, const RowSet& b, std::size_t universe) {
 
 RowBitmap RowBitmap::FromSet(const RowSet& set, std::size_t universe) {
   RowBitmap bm(universe);
-  for (RowId r : set) bm.Set(r);
+  // A sorted, duplicate-free set holds all 64 rows of a word exactly when
+  // the 64 entries starting at the word's first row span 63: such runs
+  // (postings of clustered rows) store a whole word at once. Everything
+  // else sets one bit per row.
+  const std::size_t n = set.size();
+  std::size_t i = 0;
+  while (i + 64 <= n) {
+    const RowId r = set[i];
+    if (r % 64 == 0 && set[i + 63] - r == 63) {
+      bm.words_[r / 64] = ~std::uint64_t{0};
+      i += 64;
+    } else {
+      bm.Set(r);
+      ++i;
+    }
+  }
+  for (; i < n; ++i) bm.Set(set[i]);
   return bm;
 }
 

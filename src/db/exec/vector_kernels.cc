@@ -39,28 +39,6 @@ std::atomic<int> g_simd_override{-1};
 // The portable tier doubles as the differential oracle: every SIMD word
 // below must produce these exact bits.
 
-inline bool NumericTest(double v, CompareOp op, double lo, double hi) {
-  switch (op) {
-    case CompareOp::kEq:
-      return v == lo;
-    case CompareOp::kNe:
-      return v != lo;
-    case CompareOp::kLt:
-      return v < lo;
-    case CompareOp::kLe:
-      return v <= lo;
-    case CompareOp::kGt:
-      return v > lo;
-    case CompareOp::kGe:
-      return v >= lo;
-    case CompareOp::kBetween:
-      return v >= lo && v <= hi;
-    case CompareOp::kContains:
-      return false;  // compiled as kNumericContains, never kNumeric
-  }
-  return false;
-}
-
 void ScalarNumericWords(const double* p, CompareOp op, double lo, double hi,
                         std::size_t words, std::uint64_t* out) {
   for (std::size_t j = 0; j < words; ++j) {
@@ -420,11 +398,9 @@ void CodeTableMask(const std::uint32_t* codes, const std::uint8_t* table,
     const std::size_t limit = n - j * 64 < 64 ? n - j * 64 : 64;
     const std::uint32_t* q = c + 64 * j;
     for (std::size_t b = 0; b < limit; ++b) {
-      const std::uint32_t code = q[b];
-      const bool is_null = code == ColumnStore::kNullCode;
-      const bool hit = code < table_size && table[code] != 0;
-      const bool match = is_null ? null_matches : (hit != negate);
-      w |= static_cast<std::uint64_t>(match) << b;
+      w |= static_cast<std::uint64_t>(CodeTableRowMatch(
+               q[b], table, table_size, negate, null_matches))
+           << b;
     }
     out->words[j] = w;
   }

@@ -96,12 +96,45 @@ void CodeTableMask(const std::uint32_t* codes, const std::uint8_t* table,
                    std::uint32_t table_size, bool negate, bool null_matches,
                    std::size_t base, std::size_t n, SelMask* out);
 
+/// One row of CodeTableMask: the rule every bit of that kernel applies.
+inline bool CodeTableRowMatch(std::uint32_t code, const std::uint8_t* table,
+                              std::uint32_t table_size, bool negate,
+                              bool null_matches) {
+  const bool is_null = code == ColumnStore::kNullCode;
+  const bool hit = code < table_size && table[code] != 0;
+  return is_null ? null_matches : hit != negate;
+}
+
 /// Single-code equality fast path: row matches iff code == target (flipped
 /// by `negate`); NULL rows (code == kNullCode) match iff `null_matches`.
 /// `target` must be a real dictionary code (never kNullCode).
 void CodeEqMask(const std::uint32_t* codes, std::uint32_t target, bool negate,
                 bool null_matches, std::size_t base, std::size_t n,
                 SelMask* out);
+
+/// The scalar semantics of CompiledPredicate Mode::kNumeric on a non-NULL
+/// value (kContains compiles to kNumericContains and never reaches here).
+inline bool NumericTest(double v, CompareOp op, double lo, double hi) {
+  switch (op) {
+    case CompareOp::kEq:
+      return v == lo;
+    case CompareOp::kNe:
+      return v != lo;
+    case CompareOp::kLt:
+      return v < lo;
+    case CompareOp::kLe:
+      return v <= lo;
+    case CompareOp::kGt:
+      return v > lo;
+    case CompareOp::kGe:
+      return v >= lo;
+    case CompareOp::kBetween:
+      return v >= lo && v <= hi;
+    case CompareOp::kContains:
+      return false;
+  }
+  return false;
+}
 
 /// Appends the selected rows of a block mask to `out` as global RowIds,
 /// ascending. Returns the number appended.
@@ -112,8 +145,8 @@ std::size_t EmitRows(const SelMask& mask, RowId base, RowSet* out);
 /// Execution-time view of one CompiledPredicate: raw column pointers plus
 /// the per-distinct-cell match table, built ONCE per plan-node execution
 /// (O(distinct cells), amortized across every block of the scan).
-/// EvalBlock must agree with CompiledPredicate::Matches row-for-row — the
-/// scalar predicate stays the oracle.
+/// EvalBlock and Test must agree with CompiledPredicate::Matches
+/// row-for-row — the scalar predicate stays the oracle.
 class BlockPredicate {
  public:
   BlockPredicate(const ColumnStore& store, const CompiledPredicate& cp);
@@ -124,6 +157,31 @@ class BlockPredicate {
 
   /// out &= predicate mask (callers skip blocks whose mask is already 0).
   void AndBlock(std::size_t base, std::size_t n, SelMask* inout) const;
+
+  /// One row through the same table and the same NULL and negation rules
+  /// as EvalBlock: a row-list filter pays the O(distinct cells) table once
+  /// and then one code load per row instead of an element-span walk.
+  bool Test(RowId row) const {
+    switch (kind_) {
+      case Kind::kNumeric: {
+        if ((null_words_[row / 64] >> (row % 64)) & 1) return null_matches_;
+        return NumericTest(packed_[row], op_, lo_, hi_);
+      }
+      case Kind::kCodeEq: {
+        const std::uint32_t code = codes_[row];
+        if (code == ColumnStore::kNullCode) return null_matches_;
+        return (code == target_code_) != negate_;
+      }
+      case Kind::kCodeTable:
+        return CodeTableRowMatch(
+            codes_[row], cell_match_.data(),
+            static_cast<std::uint32_t>(cell_match_.size()), negate_,
+            null_matches_);
+      case Kind::kNever:
+        return false;
+    }
+    return false;
+  }
 
  private:
   enum class Kind { kNumeric, kCodeTable, kCodeEq, kNever };

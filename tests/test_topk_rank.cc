@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "datagen/world.h"
 #include "db/exec/rank_bounds.h"
 #include "db/exec/topk.h"
+#include "db/executor.h"
 #include "serve/concurrent_server.h"
 #include "serve/worker_pool.h"
 #include "test_fixtures.h"
@@ -529,6 +531,224 @@ TEST(BestFirstVisitTest, AscendingFleetVisitsFewerBlocksThanRowOrder) {
                    std::to_string(row_order));
     EXPECT_EQ(best_first, want.best_first) << want.question;
     EXPECT_EQ(row_order, want.row_order) << want.question;
+  }
+}
+
+// ------------------------------------- N-1 candidate dedup over bitmaps
+
+constexpr std::size_t kMixedFleetRows = 18000;  // 17 full blocks + 592 rows
+
+/// The 18000-ad fleet of BitmapDedupTest, one record per row id: honda
+/// civic on even ids, toyota camry on odd ones, prices rising with the id
+/// (so Num_Sim block bounds prune), five colors, one manual in three, one
+/// 2-door in 32. 18000 is not a multiple of 1024, so block 17 holds
+/// base rows 17408..17999 and the first delta rows.
+std::vector<db::Record> MixedBlockFleetRecords() {
+  static constexpr const char* kColors[] = {"blue", "red", "white", "black",
+                                            "silver"};
+  std::vector<db::Record> records;
+  for (std::size_t i = 0; i < kMixedFleetRows; ++i) {
+    const bool honda = i % 2 == 0;
+    records.push_back(CarRecord(
+        honda ? "honda" : "toyota", honda ? "civic" : "camry",
+        2000 + static_cast<double>(i % 11), 2000.0 + 2.5 * static_cast<double>(i),
+        static_cast<double>(10 + i % 170) * 1000.0, kColors[i % 5],
+        i % 3 == 0 ? "manual" : "automatic", i % 32 == 0 ? "2 door" : "4 door",
+        "2 wheel drive", i % 7 == 0 ? "gps;leather seats" : "cd player"));
+  }
+  return records;
+}
+
+/// Ingested after the base fleet, in this order: global ids 18000.. . Each
+/// lands in a different N-1 pass of the questions below; 18005 is retired.
+std::vector<db::Record> MixedBlockDeltaRecords() {
+  return {
+      CarRecord("honda", "civic", 2008, 2450, 50000, "blue", "automatic",
+                "4 door", "2 wheel drive", "cd player"),
+      CarRecord("honda", "civic", 2008, 2300, 50000, "red", "automatic",
+                "4 door", "2 wheel drive", "cd player"),
+      CarRecord("honda", "civic", 2008, 30000, 50000, "blue", "automatic",
+                "4 door", "2 wheel drive", "cd player"),
+      CarRecord("toyota", "camry", 2008, 2100, 50000, "blue", "automatic",
+                "4 door", "2 wheel drive", "cd player"),
+      CarRecord("honda", "civic", 2008, 2200, 50000, "blue", "manual",
+                "4 door", "2 wheel drive", "cd player"),
+      CarRecord("honda", "civic", 2008, 2400, 50000, "blue", "automatic",
+                "4 door", "2 wheel drive", "cd player"),
+      CarRecord("honda", "civic", 2008, 2000, 50000, "red", "automatic",
+                "2 door", "2 wheel drive", "cd player"),
+  };
+}
+
+/// N-1 candidates reach the rank sweep as per-pass row bitmaps, deduped
+/// against the rows already answered block by block. These questions make
+/// every pass overlap (each holds the exact answers), give passes large
+/// enough for block bounds (4-unit question: ~1200 rows when price drops)
+/// and for the 4-worker fan-out (3-unit question: ~8400 rows), and put
+/// candidates on both sides of the base/delta boundary inside block 17.
+class BitmapDedupTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kQuestions[] = {
+      "blue honda civic automatic under 2500 dollars",
+      "honda civic 4 door under 2100 dollars",
+      "2250 dollars",
+  };
+
+  BitmapDedupTest() : table_(testing::MiniCarSchema()) {
+    for (auto& r : MixedBlockFleetRecords()) {
+      EXPECT_TRUE(table_.Insert(std::move(r)).ok());
+    }
+    table_.BuildIndexes();
+    EXPECT_TRUE(engine_.AddDomain(&table_, qlog::TiMatrix()).ok());
+  }
+
+  /// Ingests MixedBlockDeltaRecords and retires delta row 18005 plus base
+  /// rows 4 (a drop-color candidate), 10 (an exact answer) and 17990 (a
+  /// drop-price candidate in the mixed block).
+  void GrowDelta() {
+    for (auto& r : MixedBlockDeltaRecords()) {
+      auto id = engine_.IngestAd("cars", std::move(r));
+      ASSERT_TRUE(id.ok()) << id.status();
+    }
+    for (RowId row : {RowId{18005}, RowId{4}, RowId{10}, RowId{17990}}) {
+      ASSERT_TRUE(engine_.RetireAd("cars", row).ok()) << row;
+    }
+  }
+
+  std::vector<datagen::GeneratedQuestion> Questions() const {
+    std::vector<datagen::GeneratedQuestion> out;
+    for (const char* q : kQuestions) {
+      datagen::GeneratedQuestion g;
+      g.text = q;
+      out.push_back(std::move(g));
+    }
+    return out;
+  }
+
+  /// Byte parity against the serial full-sort oracle, serially and on a
+  /// 4-worker runner.
+  void ExpectParity(const char* label) {
+    serve::WorkerPool pool(4);
+    core::EngineOptions parallel_on;
+    parallel_on.exec_runner = &pool;
+    parallel_on.exec_parallelism = 4;
+    core::EngineOptions off;
+    off.use_topk_rank = false;
+    ExpectAskParity(engine_, "cars", Questions(), core::EngineOptions(), off,
+                    (std::string(label) + " serial").c_str());
+    ExpectAskParity(engine_, "cars", Questions(), parallel_on, off,
+                    (std::string(label) + " parallel").c_str());
+  }
+
+  /// Every partial answer carries the measure of the FIRST N-1 pass (in
+  /// unit order) whose relaxed conjunction holds on its record; rows in
+  /// more than one pass (the exact answers here) never rank as partials.
+  /// `records` holds every row by global id, retired ones included.
+  void ExpectFirstPassLabels(const std::string& question,
+                             const std::vector<db::Record>& records) {
+    db::Table all(testing::MiniCarSchema());
+    for (const auto& r : records) ASSERT_TRUE(all.Insert(r).ok());
+    const db::Executor check(&all);
+    auto parsed = engine_.Parse("cars", question);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const auto& assembled = parsed.value().assembled;
+    const auto& units = assembled.units;
+    ASSERT_GE(units.size(), 2u) << question;
+    std::vector<db::ExprPtr> relaxed;
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      std::vector<db::ExprPtr> parts;
+      for (std::size_t v = 0; v < units.size(); ++v) {
+        if (v != u) parts.push_back(units[v].expr);
+      }
+      for (const auto& f : assembled.fixed) parts.push_back(f);
+      relaxed.push_back(db::Expr::MakeAnd(parts));
+    }
+    const auto snapshot = engine_.snapshot();
+    const core::DomainRuntime* rt = snapshot->runtime("cars");
+    const core::SimScorer labels(rt->table->schema(), units,
+                                 snapshot->MakeSimilarityContext(*rt));
+
+    auto r = engine_.AskInDomain("cars", question);
+    ASSERT_TRUE(r.ok()) << question;
+    std::size_t partials = 0, overlapping = 0;
+    for (const auto& a : r.value().answers) {
+      std::size_t passes = 0;
+      std::size_t first = units.size();
+      for (std::size_t u = 0; u < units.size(); ++u) {
+        if (check.MatchesExpr(a.row, *relaxed[u])) {
+          ++passes;
+          if (first == units.size()) first = u;
+        }
+      }
+      if (passes > 1) ++overlapping;
+      if (a.exact) continue;
+      ++partials;
+      EXPECT_EQ(passes, 1u) << question << " row " << a.row;
+      ASSERT_LT(first, units.size()) << question << " row " << a.row;
+      EXPECT_EQ(a.measure, labels.unit_measure(first))
+          << question << " row " << a.row;
+    }
+    EXPECT_GT(partials, 0u) << question;
+    EXPECT_GT(overlapping, 0u) << question;
+  }
+
+  struct Counters {
+    std::size_t blocks_visited, blocks_skipped, rows_pruned, rows_visited;
+  };
+
+  /// Serial counters are deterministic; pinned per question (values of
+  /// the row-at-a-time dedup this path replaced).
+  void ExpectCounters(const std::vector<Counters>& want, const char* label) {
+    engine_.SetOptions(core::EngineOptions());
+    for (std::size_t i = 0; i < std::size(kQuestions); ++i) {
+      auto r = engine_.AskInDomain("cars", kQuestions[i]);
+      ASSERT_TRUE(r.ok()) << kQuestions[i];
+      const db::ExecStats& st = r.value().stats;
+      EXPECT_EQ(st.rank_blocks_visited, want[i].blocks_visited)
+          << label << " " << kQuestions[i];
+      EXPECT_EQ(st.rank_blocks_skipped, want[i].blocks_skipped)
+          << label << " " << kQuestions[i];
+      EXPECT_EQ(st.rank_rows_pruned, want[i].rows_pruned)
+          << label << " " << kQuestions[i];
+      EXPECT_EQ(st.rows_visited, want[i].rows_visited)
+          << label << " " << kQuestions[i];
+    }
+  }
+
+  db::Table table_;
+  core::CqadsEngine engine_;
+};
+
+TEST_F(BitmapDedupTest, BaseOnlyParityLabelsAndCounters) {
+  ExpectParity("base");
+  const std::vector<db::Record> records = MixedBlockFleetRecords();
+  ExpectFirstPassLabels(kQuestions[0], records);
+  ExpectFirstPassLabels(kQuestions[1], records);
+  ExpectCounters({{4, 17, 1132, 36200}, {3, 17, 7957, 27040},
+                  {1, 17, 16976, 0}},
+                 "base");
+}
+
+TEST_F(BitmapDedupTest, LiveDeltaAndRetiredRowsShareTheMixedBlock) {
+  GrowDelta();
+  ExpectParity("delta");
+  std::vector<db::Record> records = MixedBlockFleetRecords();
+  for (auto& r : MixedBlockDeltaRecords()) records.push_back(std::move(r));
+  ExpectFirstPassLabels(kQuestions[0], records);
+  ExpectFirstPassLabels(kQuestions[1], records);
+  ExpectCounters({{4, 17, 1131, 36200}, {3, 17, 7956, 27040},
+                  {1, 17, 16976, 0}},
+                 "delta");
+  // Retired rows never answer.
+  for (const char* q : kQuestions) {
+    auto r = engine_.AskInDomain("cars", q);
+    ASSERT_TRUE(r.ok()) << q;
+    for (const auto& a : r.value().answers) {
+      EXPECT_NE(a.row, 18005u) << q;
+      EXPECT_NE(a.row, 4u) << q;
+      EXPECT_NE(a.row, 10u) << q;
+      EXPECT_NE(a.row, 17990u) << q;
+    }
   }
 }
 

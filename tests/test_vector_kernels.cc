@@ -1,16 +1,22 @@
 // The vectorized execution path: every SIMD selection kernel differentially
 // tested against the scalar oracle on adversarial inputs (all-null columns,
 // kNullCode runs, non-multiple-of-64 tails, empty selections, single-row
-// tables), LazyRowSet algebra vs sorted-vector set semantics, plan-level
-// vectorize-on/off row-set identity, SimScorer::ScoreBlock vs per-row
+// tables), BlockPredicate's per-row code-table test vs
+// CompiledPredicate::Matches, FilterNode's row-list path on both sides of
+// its table threshold, LazyRowSet algebra vs sorted-vector set semantics,
+// plan-level vectorize-on/off row-set identity on the 120-ad worlds and on
+// a 3000-row table, SimScorer::ScoreBlock vs per-row
 // Score, and engine-level byte-parity of the whole ask path with
 // use_vector_kernels on vs off across all eight datagen domains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,9 +26,13 @@
 #include "datagen/question_gen.h"
 #include "datagen/world.h"
 #include "db/exec/plan.h"
+#include "db/exec/planner.h"
 #include "db/exec/rowset_ops.h"
 #include "db/exec/vector_kernels.h"
+#include "db/executor.h"
 #include "db/storage/column_store.h"
+#include "db/table.h"
+#include "test_fixtures.h"
 
 namespace cqads {
 namespace {
@@ -237,12 +247,242 @@ TEST(CodeTableMaskTest, MatchesOracleIncludingOutOfTableCodes) {
                                     : hit != negate;
             ASSERT_EQ(MaskBit(mask, i), expect)
                 << LevelName(level) << " n=" << n << " row=" << i;
+            // The single-row rule BlockPredicate::Test uses is the
+            // kernel's own, out-of-table codes included.
+            ASSERT_EQ(db::exec::CodeTableRowMatch(codes[i], table.data(),
+                                                  table_size, negate,
+                                                  null_matches),
+                      expect)
+                << "row rule, code " << codes[i];
           }
         }
       }
     }
   }
   db::exec::ClearSimdOverride();
+}
+
+// ---- BlockPredicate::Test and FilterNode's row-list path -------------------
+
+using db::Predicate;
+using db::Value;
+using db::exec::BlockPredicate;
+using db::exec::CompiledPredicate;
+
+/// MiniCar-schema rows with every cell shape the residual filters meet:
+/// NULL text and numeric cells, multi-element TextList features, doors and
+/// transmissions stored in full form (shorthand needles "4dr", "auto"),
+/// and prices with cents ("8900.5" renders as one canonical text).
+db::Table CellShapesTable(std::size_t rows, std::uint64_t seed) {
+  static constexpr const char* kMakes[] = {"honda", "toyota", "ford",
+                                           "chevy", "bmw"};
+  static constexpr const char* kColors[] = {"blue", "red", "white", "black",
+                                            "light blue"};
+  static constexpr const char* kFeatures[] = {
+      "cd player", "gps;leather seats", "cd player;gps;sunroof",
+      "power steering;cd player", "sunroof"};
+  static constexpr double kPrices[] = {8900.5, 8900.0, 12000.0, 500.25,
+                                       18900.5, 7000.0};
+  std::mt19937_64 rng(seed);
+  db::Table table(testing::MiniCarSchema());
+  auto maybe_null = [&](Value v, int one_in) {
+    return rng() % one_in == 0 ? Value::Null() : std::move(v);
+  };
+  for (std::size_t i = 0; i < rows; ++i) {
+    db::Record r;
+    r.push_back(Value::Text(kMakes[rng() % 5]));
+    r.push_back(Value::Text(rng() % 2 == 0 ? "civic" : "camry"));
+    r.push_back(Value::Real(2000.0 + static_cast<double>(rng() % 12)));
+    r.push_back(maybe_null(Value::Real(kPrices[rng() % 6]), 7));
+    r.push_back(Value::Real(static_cast<double>(rng() % 200) * 1000.0));
+    r.push_back(maybe_null(Value::Text(kColors[rng() % 5]), 6));
+    r.push_back(maybe_null(
+        Value::Text(rng() % 3 == 0 ? "manual" : "automatic"), 9));
+    r.push_back(maybe_null(
+        Value::Text(rng() % 4 == 0 ? "2 door" : "4 door"), 8));
+    r.push_back(Value::Text(rng() % 5 == 0 ? "4 wheel drive"
+                                           : "2 wheel drive"));
+    r.push_back(maybe_null(Value::Text(kFeatures[rng() % 5]), 10));
+    EXPECT_TRUE(table.Insert(std::move(r)).ok());
+  }
+  table.BuildIndexes();
+  return table;
+}
+
+Predicate Pred(std::size_t attr, CompareOp op, Value v,
+               Value hi = Value::Null(), bool shorthand = true) {
+  Predicate p;
+  p.attr = attr;
+  p.op = op;
+  p.value = std::move(v);
+  p.value_hi = std::move(hi);
+  p.allow_shorthand = shorthand;
+  return p;
+}
+
+/// Residuals over every column shape and every op the filters compile.
+/// Attributes: 3 price, 5 color, 6 transmission, 7 doors, 9 features.
+std::vector<Predicate> ResidualPredicates() {
+  using V = Value;
+  return {
+      Pred(5, CompareOp::kEq, V::Text("blue")),
+      Pred(5, CompareOp::kNe, V::Text("blue")),
+      Pred(5, CompareOp::kContains, V::Text("blue")),
+      Pred(5, CompareOp::kEq, V::Text("purple")),  // no dictionary hit
+      Pred(5, CompareOp::kNe, V::Text("purple")),
+      Pred(5, CompareOp::kLt, V::Text("blue")),    // range op on text
+      Pred(9, CompareOp::kEq, V::Text("gps")),     // TextList element
+      Pred(9, CompareOp::kNe, V::Text("cd player")),
+      Pred(9, CompareOp::kContains, V::Text("roof")),
+      Pred(7, CompareOp::kEq, V::Text("4dr")),     // shorthand key
+      Pred(7, CompareOp::kNe, V::Text("4dr")),
+      Pred(7, CompareOp::kEq, V::Text("4dr"), V::Null(), false),
+      Pred(6, CompareOp::kEq, V::Text("auto")),
+      Pred(3, CompareOp::kEq, V::Real(8900.5)),
+      Pred(3, CompareOp::kNe, V::Real(8900.5)),
+      Pred(3, CompareOp::kLt, V::Real(9000.0)),
+      Pred(3, CompareOp::kBetween, V::Real(8000.0), V::Real(13000.0)),
+      Pred(3, CompareOp::kContains, V::Text("8900.5")),  // numeric contains
+      Pred(3, CompareOp::kContains, V::Text("00")),
+  };
+}
+
+TEST(BlockPredicateTest, RowTestAgreesWithMatchesRowForRow) {
+  const db::Table table = CellShapesTable(700, 31);
+  const ColumnStore& store = table.store();
+  const std::vector<Predicate> preds = ResidualPredicates();
+  std::size_t mixed = 0;  // predicates keeping some rows but not all
+  for (const Predicate& p : preds) {
+    const CompiledPredicate cp = db::exec::CompilePredicate(table, p);
+    const BlockPredicate bp(store, cp);
+    const std::string label = "attr " + std::to_string(p.attr) + " op " +
+                              std::to_string(static_cast<int>(p.op)) + " '" +
+                              p.value.ToSqlLiteral() + "'";
+    std::size_t hits = 0, null_rows = 0;
+    SelMask mask;
+    for (std::size_t base = 0; base < table.num_rows(); base += kBlockRows) {
+      const std::size_t n = std::min(kBlockRows, table.num_rows() - base);
+      bp.EvalBlock(base, n, &mask);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto row = static_cast<RowId>(base + i);
+        const bool want = cp.Matches(store, row);
+        ASSERT_EQ(bp.Test(row), want) << label << " row " << row;
+        ASSERT_EQ(MaskBit(mask, i), want) << label << " row " << row;
+        hits += want ? 1 : 0;
+        null_rows += store.is_null(row, p.attr) ? 1 : 0;
+      }
+    }
+    // Each column carries NULLs, so the NULL rule is exercised every time.
+    EXPECT_GT(null_rows, 0u) << label;
+    if (hits > 0 && hits < table.num_rows()) ++mixed;
+  }
+  // All but four keep some rows and drop others: "= 'purple'", the text
+  // range op and "4dr" without shorthand match nothing, and "!= 'purple'"
+  // matches every row, NULLs included.
+  EXPECT_EQ(mixed, preds.size() - 4);
+}
+
+/// A plan leaf returning a fixed row list: feeds FilterNode's row-list
+/// path a child of an exact size.
+class FixedRowsNode : public db::exec::PlanNode {
+ public:
+  explicit FixedRowsNode(RowSet rows) : rows_(std::move(rows)) {}
+  RowSet Execute(db::ExecStats* /*stats*/) const override { return rows_; }
+  void Explain(std::string* out, int /*depth*/) const override {
+    *out += "FixedRows\n";
+  }
+
+ private:
+  RowSet rows_;
+};
+
+// The row-list path switches from Matches to the code table at a child of
+// as many rows as the residual column has distinct cells. One below, at
+// and one above that count (and for two-residual conjunctions, whose
+// second residual sees only the first one's survivors) the filter returns
+// exactly the rows Matches keeps.
+TEST(FilterNodeRowListTest, TableThresholdKeepsTheMatchesRows) {
+  const db::Table table = CellShapesTable(700, 32);
+  const ColumnStore& store = table.store();
+  const std::vector<Predicate> preds = ResidualPredicates();
+  std::mt19937_64 rng(77);
+  auto sample = [&](std::size_t k) {
+    RowSet all(table.num_rows());
+    for (RowId r = 0; r < all.size(); ++r) all[r] = r;
+    std::shuffle(all.begin(), all.end(), rng);
+    all.resize(k);
+    std::sort(all.begin(), all.end());
+    return all;
+  };
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    const Predicate& p = preds[i];
+    const Predicate& second = preds[(i + 7) % preds.size()];
+    const std::size_t distinct = store.dictionary(p.attr).size();
+    ASSERT_LT(distinct + 1, table.num_rows());
+    for (std::size_t k : {distinct - 1, distinct, distinct + 1}) {
+      for (bool conjunction : {false, true}) {
+        const RowSet child = sample(k);
+        std::vector<CompiledPredicate> residual = {
+            db::exec::CompilePredicate(table, p)};
+        if (conjunction) {
+          residual.push_back(db::exec::CompilePredicate(table, second));
+        }
+        RowSet want;
+        for (RowId r : child) {
+          bool keep = true;
+          for (const auto& cp : residual) keep = keep && cp.Matches(store, r);
+          if (keep) want.push_back(r);
+        }
+        const db::exec::FilterNode node(
+            &table, std::make_unique<FixedRowsNode>(child), residual);
+        db::ExecStats lazy_stats, scalar_stats;
+        EXPECT_EQ(node.ExecuteLazy(&lazy_stats).ToRows(), want)
+            << "attr " << p.attr << " op " << static_cast<int>(p.op)
+            << " k=" << k << " conjunction=" << conjunction;
+        EXPECT_EQ(node.Execute(&scalar_stats), want);
+        EXPECT_EQ(lazy_stats.rows_visited, k);
+        EXPECT_EQ(lazy_stats.rows_verified, scalar_stats.rows_verified);
+      }
+    }
+  }
+}
+
+// Plans over a 3000-row table (past two 1024-row blocks, so index-seeded
+// filters hand FilterNode row lists far longer than any residual column's
+// distinct cells) return the scalar path's rows and the seed executor's.
+TEST(FilterNodeRowListTest, PlansOnA3000RowTableMatchScalarAndSeed) {
+  const db::Table table = CellShapesTable(3000, 33);
+  const db::exec::Planner planner(&table);
+  const db::Executor seed(&table);
+  const std::vector<Predicate> residuals = ResidualPredicates();
+  const Predicate seeds[] = {
+      Pred(0, CompareOp::kEq, Value::Text("honda")),
+      Pred(1, CompareOp::kEq, Value::Text("civic")),
+      Pred(7, CompareOp::kEq, Value::Text("2dr")),
+  };
+  std::size_t filters = 0;
+  for (const Predicate& s : seeds) {
+    for (std::size_t i = 0; i < residuals.size(); ++i) {
+      db::Query q;
+      q.limit = table.num_rows();
+      q.where = db::Expr::MakeAnd(
+          {db::Expr::MakePredicate(s), db::Expr::MakePredicate(residuals[i]),
+           db::Expr::MakePredicate(
+               residuals[(i + 5) % residuals.size()])});
+      auto plan = planner.Compile(q);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      const std::string explain = plan.value()->Explain();
+      if (explain.find("Filter(") != std::string::npos) ++filters;
+      db::ExecStats vs, ss;
+      auto vec = plan.value()->ExecuteRowSet(&vs, /*vectorize=*/true);
+      auto scalar = plan.value()->ExecuteRowSet(&ss, /*vectorize=*/false);
+      auto want = seed.Execute(q);
+      ASSERT_TRUE(vec.ok() && scalar.ok() && want.ok()) << explain;
+      EXPECT_EQ(vec.value(), scalar.value()) << explain;
+      EXPECT_EQ(vec.value(), want.value().rows) << explain;
+    }
+  }
+  EXPECT_GT(filters, 0u);
 }
 
 TEST(EmitRowsTest, AscendingAndComplete) {
@@ -272,6 +512,28 @@ TEST(EmitRowsTest, AscendingAndComplete) {
 }
 
 // ---- LazyRowSet: bitmap/vector algebra == sorted-set semantics ------------
+
+// FromSet stores whole words for aligned runs of 64 rows: runs one short,
+// exact, one long, unaligned and split across words must all set exactly
+// their own bits.
+TEST(RowBitmapTest, FromSetRunsSetExactlyTheirRows) {
+  std::mt19937_64 rng(640);
+  const std::size_t universe = 64 * 40 + 17;
+  for (int iter = 0; iter < 200; ++iter) {
+    RowSet set;
+    RowId r = static_cast<RowId>(rng() % 70);
+    while (r < universe) {
+      const std::size_t len =
+          rng() % 3 == 0 ? 62 + rng() % 5 : rng() % 4;  // 62..66 or 0..3
+      for (std::size_t k = 0; k < len && r < universe; ++k) set.push_back(r++);
+      r += static_cast<RowId>(rng() % 3 == 0 ? 0 : 1 + rng() % 70);
+    }
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+    const RowBitmap bm = RowBitmap::FromSet(set, universe);
+    EXPECT_EQ(bm.ToSet(), set) << "iter " << iter;
+    EXPECT_EQ(bm.Count(), set.size());
+  }
+}
 
 RowSet RandomSubset(std::mt19937_64& rng, std::size_t universe,
                     std::size_t density_divisor) {
