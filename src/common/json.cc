@@ -45,8 +45,17 @@ bool JsonValue::GetBool(std::string_view key, bool fallback) const {
 }
 
 void JsonEscape(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out->push_back('"');
-  for (unsigned char c : s) {
+  // Bytes that need no escape are appended a run at a time; the run is
+  // flushed before each escaped byte and at the end.
+  const char* run = s.data();
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(run, static_cast<std::size_t>(p - run));
+    run = p + 1;
     switch (c) {
       case '"':
         out->append("\\\"");
@@ -69,22 +78,17 @@ void JsonEscape(std::string_view s, std::string* out) {
       case '\t':
         out->append("\\t");
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
+      default: {
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(u, sizeof(u));
+      }
     }
   }
+  out->append(run, static_cast<std::size_t>(end - run));
   out->push_back('"');
 }
 
-namespace {
-
-void DumpNumber(double d, std::string* out) {
+void JsonDumpNumber(double d, std::string* out) {
   if (!std::isfinite(d)) {
     // JSON has no inf/nan literal; null is the conventional degradation.
     out->append("null");
@@ -104,8 +108,6 @@ void DumpNumber(double d, std::string* out) {
   out->append(buf);
 }
 
-}  // namespace
-
 void JsonValue::DumpTo(std::string* out) const {
   switch (kind_) {
     case Kind::kNull:
@@ -115,7 +117,7 @@ void JsonValue::DumpTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       return;
     case Kind::kNumber:
-      DumpNumber(number_, out);
+      JsonDumpNumber(number_, out);
       return;
     case Kind::kString:
       JsonEscape(string_, out);

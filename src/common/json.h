@@ -121,6 +121,10 @@ class JsonValue {
 /// that build JSON text directly.
 void JsonEscape(std::string_view s, std::string* out);
 
+/// Appends `d` as JsonValue::Dump writes a number: integral values below
+/// 2^53 as integers, other finite values as "%.17g", inf/nan as null.
+void JsonDumpNumber(double d, std::string* out);
+
 }  // namespace cqads
 
 #endif  // CQADS_COMMON_JSON_H_

@@ -154,6 +154,9 @@ struct AskResult {
 /// flags, rank scores, and measures — not timings or work counters). Two
 /// serving paths answered identically iff the strings are byte-identical;
 /// the concurrency tests and the throughput bench compare with this.
+/// Written into one reserved string, numbers through std::to_chars (scores
+/// as "%.17g"); test_canonical_writer pins its bytes to the original
+/// ostringstream writer kept in tests/reference/canonical_reference.h.
 std::string CanonicalAskResultString(const AskResult& result);
 
 }  // namespace cqads::core

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "common/failpoint.h"
 #include "common/json.h"
 #include "core/pipeline.h"
 
@@ -148,19 +149,34 @@ Result<core::AskResult> ConcurrentServer::AskImpl(
   if (question.empty()) {
     return Status::InvalidArgument("empty question");
   }
+  // An expired budget fails before any work, the cache probe included.
+  if (deadline.expired()) {
+    return Status::DeadlineExceeded("budget exhausted before classify");
+  }
   // Pin the snapshot for the whole request: concurrent AddDomain/retrain
   // swaps don't affect us, and our cache entries are keyed on its version.
   core::EngineSnapshot::Ptr snap = engine_->snapshot();
 
-  // Classification happens out-of-pipeline because the cache key needs the
-  // domain; its wall-clock is folded back into the pipeline's "classify"
-  // timing entry below so AskResult::timings stays honest.
+  // The cache is probed before classification: it is keyed on the domain
+  // hint (empty for ask) and its entries memoize the classified domain, so
+  // a hit skips classification along with the parse stages. A hit is
+  // shared, not copied: the execution stages read through the immutable
+  // memoized ParsedQuestion.
   std::string domain = domain_hint;
+  std::string normalized;
+  PreparedQueryCache::ParsedPtr cached;
+  if (options_.enable_cache) {
+    normalized = PreparedQueryCache::NormalizeQuestion(question);
+    cached = cache_->Get(domain_hint, normalized, snap->version(), &domain);
+  }
+
+  // On a miss, classification happens out-of-pipeline so that the domain
+  // can be memoized with the parse; its wall-clock is folded back into the
+  // pipeline's "classify" timing entry below so AskResult::timings stays
+  // honest. A failed classification returns here and is never cached.
   double classify_micros = 0.0;
   if (domain.empty()) {
-    if (deadline.expired()) {
-      return Status::DeadlineExceeded("budget exhausted before classify");
-    }
+    CQADS_RETURN_NOT_OK(CQADS_FAILPOINT("serve.classify"));
     const auto start = std::chrono::steady_clock::now();
     auto classified = snap->ClassifyDomain(question);
     classify_micros = std::chrono::duration<double, std::micro>(
@@ -172,13 +188,7 @@ Result<core::AskResult> ConcurrentServer::AskImpl(
 
   core::QueryContext ctx(question, domain);
   ctx.deadline = deadline;
-  std::string normalized;
-  if (options_.enable_cache) {
-    normalized = PreparedQueryCache::NormalizeQuestion(question);
-    // A hit is shared, not copied: the execution stages read through the
-    // immutable memoized ParsedQuestion.
-    ctx.cached_parsed = cache_->Get(domain, normalized, snap->version());
-  }
+  ctx.cached_parsed = std::move(cached);
 
   Status st = core::QueryPipeline::Full().Run(*snap, &ctx);
   if (!st.ok()) return st;
@@ -190,7 +200,7 @@ Result<core::AskResult> ConcurrentServer::AskImpl(
   // A degraded parse is still a complete parse — cache it. (Degradation
   // only ever truncates rank-stage work, which is never memoized.)
   if (options_.enable_cache && !ctx.parsed_from_cache()) {
-    cache_->Put(domain, normalized, snap->version(),
+    cache_->Put(domain_hint, normalized, snap->version(), std::move(domain),
                 std::make_shared<const core::ParsedQuestion>(
                     std::move(ctx.parsed)));
   }

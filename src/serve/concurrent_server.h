@@ -6,10 +6,12 @@
 //           --> snapshot = engine->snapshot()          (lock-free hot path)
 //           --> expired-in-queue check at dequeue      (kDeadlineExceeded,
 //               the doomed request never touches a snapshot)
-//           --> classify (or use caller's domain)
-//           --> prepared-query cache probe (domain, normalized question)
-//                 hit:  skip tag/conditions/assembly/SQL, go to execution
-//                 miss: run the parse stages, then memoize
+//           --> prepared-query cache probe (domain hint, normalized
+//               question; the hint is empty for Ask)
+//                 hit:  the memoized domain and parse — skip classify and
+//                       tag/conditions/assembly/SQL, go to execution
+//                 miss: classify (or use caller's domain), run the parse
+//                       stages, then memoize domain and parse together
 //           --> execute + Rank_Sim rank on the snapshot, cooperatively
 //               cancelled at stage/morsel boundaries when the deadline
 //               passes (common/deadline.h)

@@ -263,24 +263,31 @@ void NetServer::QueueResponse(const std::shared_ptr<Conn>& conn,
     dropped_responses_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  const bool was_empty = conn->outbox.empty();
   AppendFrame(payload, &conn->outbox);
   frames_out_.fetch_add(1, std::memory_order_relaxed);
-  // Wakeup inside the lock: Stop()'s close loop acquires every mu, so once
-  // it finishes, no late callback can touch the (soon-closed) wake pipe.
-  Wake();
+  // Only the frame that makes the outbox non-empty wakes the I/O thread.
+  // A frame appended to a non-empty outbox is covered by that earlier
+  // wakeup: Loop drains the wake pipe after poll returns and before it
+  // moves outboxes to write buffers, so a byte it already consumed is
+  // followed by an outbox drain that takes this frame too, and a byte not
+  // yet consumed makes the next poll return. Wakeup inside the lock:
+  // Stop()'s close loop acquires every mu, so once it finishes, no late
+  // callback can touch the (soon-closed) wake pipe.
+  if (was_empty) Wake();
 }
 
 namespace {
 
-Response MakeAskResponse(std::uint64_t id,
-                         const Result<core::AskResult>& result) {
+Response MakeAskResponse(std::uint64_t id, Result<core::AskResult> result) {
   Response response;
   response.id = id;
   if (result.ok()) {
+    core::AskResult& answer = result.value();
     response.status = WireStatusName(StatusCode::kOk);
-    response.degraded = result.value().degraded;
-    response.domain = result.value().domain;
-    response.canonical = core::CanonicalAskResultString(result.value());
+    response.degraded = answer.degraded;
+    response.canonical = core::CanonicalAskResultString(answer);
+    response.domain = std::move(answer.domain);
   } else {
     response.status = WireStatusName(result.status().code());
     response.error = result.status().message();
@@ -355,7 +362,7 @@ void NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,
     server_->AskAsyncInDomain(
         domain, request.question, BudgetToDeadline(request.budget_ms),
         [this, conn, id](Result<core::AskResult> result) {
-          QueueResponse(conn, MakeAskResponse(id, result));
+          QueueResponse(conn, MakeAskResponse(id, std::move(result)));
         });
     return;
   }

@@ -124,27 +124,44 @@ Result<Request> DecodeRequest(std::string_view payload) {
 }
 
 std::string EncodeResponse(const Response& response) {
-  JsonValue v = JsonValue::Object();
-  v.Set("id", JsonValue::Number(static_cast<double>(response.id)));
-  v.Set("status", JsonValue::Str(response.status));
+  // The bytes must stay those JsonValue::Dump writes for the same members
+  // in this order (test_net_protocol checks against that tree encoding);
+  // appending directly spares the tree and a copy of the canonical answer.
+  std::string out;
+  out.reserve(64 + response.status.size() + response.error.size() +
+              response.domain.size() + response.canonical.size() +
+              response.canonical.size() / 8 + response.stats_json.size());
+  out.append("{\"id\":");
+  JsonDumpNumber(static_cast<double>(response.id), &out);
+  out.append(",\"status\":");
+  JsonEscape(response.status, &out);
   if (!response.error.empty()) {
-    v.Set("error", JsonValue::Str(response.error));
+    out.append(",\"error\":");
+    JsonEscape(response.error, &out);
   }
-  if (response.degraded) v.Set("degraded", JsonValue::Bool(true));
+  if (response.degraded) out.append(",\"degraded\":true");
   if (!response.domain.empty()) {
-    v.Set("domain", JsonValue::Str(response.domain));
+    out.append(",\"domain\":");
+    JsonEscape(response.domain, &out);
   }
   if (!response.canonical.empty()) {
-    v.Set("canonical", JsonValue::Str(response.canonical));
+    out.append(",\"canonical\":");
+    JsonEscape(response.canonical, &out);
   }
   if (!response.stats_json.empty()) {
     // The stats dump is itself JSON; nest it as a real object (not a
     // quoted blob) so scrapers address fields as response.stats.answered.
+    // Parsing is what normalizes it, or turns invalid stats into a string.
+    out.append(",\"stats\":");
     auto stats = JsonValue::Parse(response.stats_json);
-    v.Set("stats", stats.ok() ? std::move(stats).value()
-                              : JsonValue::Str(response.stats_json));
+    if (stats.ok()) {
+      stats.value().DumpTo(&out);
+    } else {
+      JsonEscape(response.stats_json, &out);
+    }
   }
-  return v.Dump();
+  out.push_back('}');
+  return out;
 }
 
 Result<Response> DecodeResponse(std::string_view payload) {

@@ -33,6 +33,14 @@
 // in-process Ask — the parity gate the net_serve bench enforces. Responses
 // to one connection may arrive out of request order (the server executes
 // concurrently); `id` is the correlator.
+//
+// EncodeResponse writes the members straight into one reserved string, in
+// the order above and with JsonValue::Dump's number and escape rules; empty
+// members (and degraded=false) are left out. Only `stats` is parsed: valid
+// stats JSON is re-dumped compactly as a nested object, invalid stats are
+// sent as a JSON string. The bytes must equal those of the JsonValue-tree
+// encoding kept in tests/reference/wire_reference.h (test_net_protocol
+// compares them).
 #ifndef CQADS_SERVE_NET_PROTOCOL_H_
 #define CQADS_SERVE_NET_PROTOCOL_H_
 

@@ -35,12 +35,14 @@ std::string PreparedQueryCache::NormalizeQuestion(const std::string& raw) {
   return out;
 }
 
-std::string PreparedQueryCache::MakeKey(const std::string& domain,
+std::string PreparedQueryCache::MakeKey(const std::string& domain_hint,
                                         const std::string& normalized) {
   std::string key;
-  key.reserve(domain.size() + 1 + normalized.size());
-  key.append(domain);
-  key.push_back('\n');  // cannot occur inside a normalized question
+  key.reserve(domain_hint.size() + 1 + normalized.size());
+  key.append(domain_hint);
+  // Cannot occur inside a normalized question, so the last '\n' splits the
+  // key unambiguously whatever bytes the hint holds.
+  key.push_back('\n');
   key.append(normalized);
   return key;
 }
@@ -51,9 +53,9 @@ PreparedQueryCache::Shard& PreparedQueryCache::ShardOf(
 }
 
 PreparedQueryCache::ParsedPtr PreparedQueryCache::Get(
-    const std::string& domain, const std::string& normalized,
-    std::uint64_t snapshot_version) {
-  const std::string key = MakeKey(domain, normalized);
+    const std::string& domain_hint, const std::string& normalized,
+    std::uint64_t snapshot_version, std::string* domain) {
+  const std::string key = MakeKey(domain_hint, normalized);
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -63,14 +65,15 @@ PreparedQueryCache::ParsedPtr PreparedQueryCache::Get(
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   ++shard.hits;
+  if (domain != nullptr) *domain = it->second->domain;
   return it->second->parsed;
 }
 
-void PreparedQueryCache::Put(const std::string& domain,
+void PreparedQueryCache::Put(const std::string& domain_hint,
                              const std::string& normalized,
                              std::uint64_t snapshot_version,
-                             ParsedPtr parsed) {
-  const std::string key = MakeKey(domain, normalized);
+                             std::string domain, ParsedPtr parsed) {
+  const std::string key = MakeKey(domain_hint, normalized);
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -80,12 +83,14 @@ void PreparedQueryCache::Put(const std::string& domain,
     // churn during the swap window.
     if (it->second->version <= snapshot_version) {
       it->second->version = snapshot_version;
+      it->second->domain = std::move(domain);
       it->second->parsed = std::move(parsed);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     }
     return;
   }
-  shard.lru.push_front(Entry{key, snapshot_version, std::move(parsed)});
+  shard.lru.push_front(
+      Entry{key, snapshot_version, std::move(domain), std::move(parsed)});
   shard.index.emplace(key, shard.lru.begin());
   while (shard.lru.size() > per_shard_capacity_) {
     shard.index.erase(shard.lru.back().key);

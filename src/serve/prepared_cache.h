@@ -1,18 +1,29 @@
-// Sharded LRU prepared-query cache. Memoizes the parse-side half of the
-// pipeline (tag -> conditions -> assembly -> SQL -> compiled plan) keyed on
-// (snapshot version, domain, normalized question): repeated questions skip
-// straight to execution — including predicate compilation and cost-aware
-// plan construction, since ParsedQuestion carries the PhysicalPlan. Entries
-// are shared_ptr<const ParsedQuestion> — immutable, so a hit is handed to
-// any number of concurrent requests without copying the expression trees
-// (ExprPtr is shared_ptr<const Expr>) or the plan (PlanPtr is
-// shared_ptr<const PhysicalPlan>).
+// Sharded LRU prepared-query cache. Memoizes the front half of the
+// pipeline, classification included: the domain the question was
+// classified into, and the parse-side stages (tag -> conditions ->
+// assembly -> SQL -> compiled plan). Entries are keyed on (snapshot
+// version, the request's domain hint, normalized question), where the hint
+// is the caller's domain for ask_in_domain and empty for ask. A repeated
+// question skips straight to execution — no classification, no predicate
+// compilation, no cost-aware plan construction, since ParsedQuestion
+// carries the PhysicalPlan. Parsed entries are shared_ptr<const
+// ParsedQuestion> — immutable, so a hit is handed to any number of
+// concurrent requests without copying the expression trees (ExprPtr is
+// shared_ptr<const Expr>) or the plan (PlanPtr is shared_ptr<const
+// PhysicalPlan>).
+//
+// The memoized domain lives in the same bounded LRU entry as the parse, so
+// the cache's footprint stays capped by its capacity however often the
+// snapshot version moves. Entries of an ask_in_domain request (hint set)
+// never answer an ask (empty hint), and the reverse: the hint is part of
+// the key.
 //
 // Keying on the snapshot version makes swaps safe by construction: a
-// question parsed against snapshot v is never replayed against snapshot
-// v+1 (the domain's lexicon, table, column stats, or planner options may
-// have changed — a memoized plan must never execute against a table it was
-// not compiled for); stale entries age out of the LRU naturally.
+// question classified and parsed against snapshot v is never replayed
+// against snapshot v+1 (the classifier, the domain's lexicon, table,
+// column stats, or planner options may have changed — a memoized plan must
+// never execute against a table it was not compiled for); stale entries
+// age out of the LRU naturally.
 #ifndef CQADS_SERVE_PREPARED_CACHE_H_
 #define CQADS_SERVE_PREPARED_CACHE_H_
 
@@ -56,15 +67,18 @@ class PreparedQueryCache {
   /// two forms parse identically.)
   static std::string NormalizeQuestion(const std::string& raw);
 
-  /// Returns the entry, or nullptr on miss (absent or stale version).
-  /// Touches the entry to most-recently-used.
-  ParsedPtr Get(const std::string& domain, const std::string& normalized,
-                std::uint64_t snapshot_version);
+  /// Returns the entry's parse, or nullptr on miss (absent or stale
+  /// version). On a hit, `*domain` (when non-null) receives the domain the
+  /// entry's question resolved to. Touches the entry to most-recently-used.
+  ParsedPtr Get(const std::string& domain_hint, const std::string& normalized,
+                std::uint64_t snapshot_version, std::string* domain = nullptr);
 
-  /// Inserts or refreshes an entry, evicting the shard's LRU tail past
+  /// Inserts or refreshes an entry for the resolved `domain` (the hint
+  /// itself when one was given), evicting the shard's LRU tail past
   /// capacity.
-  void Put(const std::string& domain, const std::string& normalized,
-           std::uint64_t snapshot_version, ParsedPtr parsed);
+  void Put(const std::string& domain_hint, const std::string& normalized,
+           std::uint64_t snapshot_version, std::string domain,
+           ParsedPtr parsed);
 
   /// Aggregated over shards.
   Stats stats() const;
@@ -77,6 +91,7 @@ class PreparedQueryCache {
   struct Entry {
     std::string key;
     std::uint64_t version = 0;
+    std::string domain;  ///< resolved domain of the key's question
     ParsedPtr parsed;
   };
   struct Shard {
@@ -88,7 +103,7 @@ class PreparedQueryCache {
     std::uint64_t evictions = 0;
   };
 
-  static std::string MakeKey(const std::string& domain,
+  static std::string MakeKey(const std::string& domain_hint,
                              const std::string& normalized);
   Shard& ShardOf(const std::string& key);
 

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/json.h"
+#include "reference/wire_reference.h"
 
 namespace cqads::serve::net {
 namespace {
@@ -112,6 +115,36 @@ TEST(JsonTest, RejectsExcessiveNestingWithoutCrashing) {
   deep.append(2000, ']');
   auto v = JsonValue::Parse(deep);
   EXPECT_FALSE(v.ok());
+}
+
+TEST(JsonTest, EscapeMatchesByteAtATimeReferenceForEveryByte) {
+  // The escaper appends runs of safe bytes in bulk; each byte value must
+  // come out as the one-byte-at-a-time reference writes it, alone, at
+  // either end of a run, inside one, and repeated.
+  const auto expect_same = [](const std::string& s) {
+    std::string got, want;
+    JsonEscape(s, &got);
+    reference::JsonEscape(s, &want);
+    EXPECT_EQ(got, want) << "input bytes: " << s.size();
+  };
+  std::string all_bytes;
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    all_bytes.push_back(c);
+    expect_same(std::string(1, c));
+    expect_same(std::string(1, c) + "safe run");
+    expect_same("safe run" + std::string(1, c));
+    expect_same("safe" + std::string(1, c) + "run");
+    expect_same(std::string(3, c));
+    expect_same("a" + std::string(2, c) + "\n" + std::string(1, c) + "z");
+  }
+  expect_same("");
+  expect_same(all_bytes);
+  expect_same(std::string(all_bytes.rbegin(), all_bytes.rend()));
+  // Appending keeps what the buffer held.
+  std::string out = "prefix";
+  JsonEscape("a\"b", &out);
+  EXPECT_EQ(out, "prefix\"a\\\"b\"");
 }
 
 // ---------------------------------------------------------------- frames
@@ -286,6 +319,104 @@ TEST(CodecTest, StatszStatsNestAsRealJson) {
   ASSERT_TRUE(inner.ok());
   ASSERT_NE(inner.value().Find("net"), nullptr);
   EXPECT_EQ(inner.value().Find("net")->GetNumber("frames_in"), 34.0);
+}
+
+// The responses the server writes, one per shape: an answer, a degraded
+// answer, an answer without a domain, errors, statsz with valid and with
+// invalid stats, and ids at the edges of the exact-double range.
+std::vector<Response> ResponseCases() {
+  std::string all_bytes;
+  for (int b = 0; b < 256; ++b) all_bytes.push_back(static_cast<char>(b));
+  const std::string canonical =
+      "domain=cars\nsql=SELECT * FROM cars WHERE make = 'honda'\n"
+      "interpretation=make \"honda\"\ncontradiction=0\nexact_count=1\n"
+      "row=3 exact=1 rank_sim=2 measure=\n"
+      "row=17 exact=0 rank_sim=1.3333333333333333 measure=TI\n";
+  std::vector<Response> cases;
+  Response ok;
+  ok.id = 7;
+  ok.domain = "cars";
+  ok.canonical = canonical;
+  cases.push_back(ok);
+  Response degraded = ok;
+  degraded.id = 8;
+  degraded.degraded = true;
+  cases.push_back(degraded);
+  Response no_domain = ok;
+  no_domain.id = 9;
+  no_domain.domain.clear();
+  no_domain.canonical = "domain=\nsql=\n" + all_bytes;
+  cases.push_back(no_domain);
+  Response error;
+  error.id = 10;
+  error.status = WireStatusName(StatusCode::kDeadlineExceeded);
+  error.error = "budget exhausted before \"rank\" stage\t\x01";
+  cases.push_back(error);
+  Response bad_request;  // an unparseable request is answered with id 0
+  bad_request.status = WireStatusName(StatusCode::kInvalidArgument);
+  bad_request.error = "json: invalid literal at byte 3";
+  cases.push_back(bad_request);
+  Response ping;  // id 0, status only
+  cases.push_back(ping);
+  Response statsz;
+  statsz.id = 11;
+  statsz.stats_json =
+      "{ \"answered\" : 12, \"mean\": 0.125, \"net\": {\"frames_in\": 34},"
+      " \"list\": [1, \"x\\n\", null, true] }";
+  cases.push_back(statsz);
+  Response bad_stats = statsz;
+  bad_stats.id = 12;
+  bad_stats.stats_json = "{\"answered\": 12,";  // truncated: kept as a string
+  cases.push_back(bad_stats);
+  for (std::uint64_t id :
+       {std::uint64_t{9007199254740991}, std::uint64_t{9007199254740992},
+        std::uint64_t{9007199254740993}, std::uint64_t{1} << 63,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Response large = ok;
+    large.id = id;
+    cases.push_back(large);
+  }
+  return cases;
+}
+
+TEST(CodecTest, EncodeResponseMatchesTheJsonTreeEncodingByteForByte) {
+  for (const Response& response : ResponseCases()) {
+    EXPECT_EQ(EncodeResponse(response), reference::EncodeResponse(response))
+        << "id " << response.id;
+  }
+}
+
+TEST(CodecTest, EncodedResponsesDecodeBack) {
+  for (const Response& response : ResponseCases()) {
+    // Ids above 2^53 do not survive the double the codec carries them in.
+    if (response.id > (std::uint64_t{1} << 53) &&
+        response.id != (std::uint64_t{1} << 63)) {
+      continue;
+    }
+    auto back = DecodeResponse(EncodeResponse(response));
+    ASSERT_TRUE(back.ok()) << back.status();
+    const Response& got = back.value();
+    EXPECT_EQ(got.id, response.id);
+    EXPECT_EQ(got.status, response.status);
+    EXPECT_EQ(got.error, response.error);
+    EXPECT_EQ(got.degraded, response.degraded);
+    EXPECT_EQ(got.domain, response.domain);
+    EXPECT_EQ(got.canonical, response.canonical);
+    if (response.stats_json.empty()) {
+      EXPECT_TRUE(got.stats_json.empty());
+      continue;
+    }
+    // Valid stats come back as their compact dump; invalid stats as the
+    // JSON string they were quoted into.
+    auto parsed = JsonValue::Parse(response.stats_json);
+    std::string want;
+    if (parsed.ok()) {
+      want = parsed.value().Dump();
+    } else {
+      JsonEscape(response.stats_json, &want);
+    }
+    EXPECT_EQ(got.stats_json, want) << "id " << response.id;
+  }
 }
 
 TEST(CodecTest, WireStatusNamesInvert) {

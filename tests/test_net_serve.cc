@@ -416,6 +416,66 @@ TEST_F(NetServeTest, ConcurrentClientsKeepByteParity) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST_F(NetServeTest, PipelinedAsksOnOneConnectionAreAllAnswered) {
+  // Many responses land in one connection's outbox while the I/O thread is
+  // busy; only the first of a batch wakes it, and every frame must still be
+  // written. 320 asks in flight on one connection, each answered once,
+  // with its own id and its question's answer.
+  NetServer::Options options;
+  options.unix_path = SocketPath();
+  options.serve.num_workers = 4;
+  auto server = StartServer(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  std::vector<std::string> expected;
+  for (const auto& q : *questions_) {
+    auto r = world_->engine().Ask(q);
+    expected.push_back(r.ok() ? core::CanonicalAskResultString(r.value())
+                              : std::string("status:") +
+                                    WireStatusName(r.status().code()));
+  }
+
+  auto client = NetClient::ConnectUnix(server.value()->unix_path());
+  ASSERT_TRUE(client.ok()) << client.status();
+  constexpr std::size_t kAsks = 320;
+  const auto question_of = [&](std::uint64_t id) {
+    return (id * 7) % questions_->size();
+  };
+  // Sender and receiver run concurrently, as the client supports, so
+  // neither side's socket buffer has to hold the whole burst.
+  std::thread sender([&] {
+    for (std::uint64_t id = 1; id <= kAsks; ++id) {
+      ASSERT_TRUE(client.value()
+                      .Send(MakeAsk(id, (*questions_)[question_of(id)]))
+                      .ok());
+    }
+  });
+  std::vector<int> seen(kAsks + 1, 0);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kAsks; ++i) {
+    auto response = client.value().Receive();
+    ASSERT_TRUE(response.ok()) << response.status() << " after " << i;
+    const std::uint64_t id = response.value().id;
+    ASSERT_GE(id, 1u);
+    ASSERT_LE(id, kAsks);
+    ++seen[id];
+    const std::string got =
+        response.value().ok()
+            ? response.value().canonical
+            : std::string("status:") + response.value().status;
+    if (got != expected[question_of(id)]) ++mismatches;
+  }
+  sender.join();
+  for (std::uint64_t id = 1; id <= kAsks; ++id) {
+    EXPECT_EQ(seen[id], 1) << "id " << id;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  const auto net = server.value()->net_stats();
+  EXPECT_EQ(net.frames_in, kAsks);
+  EXPECT_EQ(net.frames_out, kAsks);
+  EXPECT_EQ(net.dropped_responses, 0u);
+}
+
 TEST_F(NetServeTest, AdmissionControlShedsOnTheWire) {
   // One worker, tiny queue, and a failpoint-injected 20ms stall per task:
   // a pipelined burst must overrun the queue and come back "overloaded"

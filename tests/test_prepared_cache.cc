@@ -1,5 +1,7 @@
 // Prepared-query cache unit tests: normalization, hit/miss accounting,
-// LRU eviction order, snapshot-version staleness, and concurrent access.
+// the memoized domain and the domain-hint key, LRU eviction order,
+// snapshot-version staleness, and concurrent access. The server-level
+// behavior of the classification memo is tested in test_serve.cc.
 #include "serve/prepared_cache.h"
 
 #include <gtest/gtest.h>
@@ -29,7 +31,7 @@ TEST(NormalizeQuestionTest, LowercasesAndCollapsesWhitespace) {
 TEST(PreparedQueryCacheTest, MissThenHit) {
   PreparedQueryCache cache;
   EXPECT_EQ(cache.Get("cars", "red honda", 1), nullptr);
-  cache.Put("cars", "red honda", 1, MakeParsed("SELECT 1"));
+  cache.Put("cars", "red honda", 1, "cars", MakeParsed("SELECT 1"));
   auto hit = cache.Get("cars", "red honda", 1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->sql, "SELECT 1");
@@ -42,18 +44,70 @@ TEST(PreparedQueryCacheTest, MissThenHit) {
 
 TEST(PreparedQueryCacheTest, DomainsAreDistinctKeys) {
   PreparedQueryCache cache;
-  cache.Put("cars", "red", 1, MakeParsed("cars-sql"));
-  cache.Put("boats", "red", 1, MakeParsed("boats-sql"));
+  cache.Put("cars", "red", 1, "cars", MakeParsed("cars-sql"));
+  cache.Put("boats", "red", 1, "boats", MakeParsed("boats-sql"));
   EXPECT_EQ(cache.Get("cars", "red", 1)->sql, "cars-sql");
   EXPECT_EQ(cache.Get("boats", "red", 1)->sql, "boats-sql");
 }
 
+TEST(PreparedQueryCacheTest, HitReturnsTheMemoizedDomain) {
+  PreparedQueryCache cache;
+  std::string domain = "untouched";
+  EXPECT_EQ(cache.Get("", "red honda", 1, &domain), nullptr);
+  EXPECT_EQ(domain, "untouched");  // a miss leaves it alone
+
+  // An ask entry: no hint, the domain classification resolved.
+  cache.Put("", "red honda", 1, "cars", MakeParsed("SELECT 1"));
+  auto hit = cache.Get("", "red honda", 1, &domain);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->sql, "SELECT 1");
+  EXPECT_EQ(domain, "cars");
+  // The domain out-parameter is optional.
+  EXPECT_NE(cache.Get("", "red honda", 1), nullptr);
+}
+
+TEST(PreparedQueryCacheTest, DomainHintIsPartOfTheKey) {
+  PreparedQueryCache cache;
+  // An ask_in_domain entry never answers an ask, even for the domain the
+  // ask would classify into, and the reverse.
+  cache.Put("cars", "red honda", 1, "cars", MakeParsed("in-domain"));
+  EXPECT_EQ(cache.Get("", "red honda", 1), nullptr);
+  cache.Put("", "red honda", 1, "cars", MakeParsed("ask"));
+  EXPECT_EQ(cache.Get("cars", "red honda", 1)->sql, "in-domain");
+  EXPECT_EQ(cache.Get("", "red honda", 1)->sql, "ask");
+  EXPECT_EQ(cache.Get("boats", "red honda", 1), nullptr);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  // A hint holding the separator byte cannot alias another key.
+  cache.Put("cars\nred", "honda", 1, "cars", MakeParsed("odd hint"));
+  EXPECT_EQ(cache.Get("cars", "red honda", 1)->sql, "in-domain");
+  EXPECT_EQ(cache.Get("cars\nred", "honda", 1)->sql, "odd hint");
+}
+
+TEST(PreparedQueryCacheTest, NewVersionReplacesTheMemoizedDomain) {
+  PreparedQueryCache cache;
+  cache.Put("", "gold ring", 1, "cars", MakeParsed("v1"));
+  std::string domain;
+  EXPECT_EQ(cache.Get("", "gold ring", 2, &domain), nullptr);
+  // After the swap the question classifies elsewhere; the refreshed entry
+  // carries the new domain with the new parse.
+  cache.Put("", "gold ring", 2, "jewellery", MakeParsed("v2"));
+  auto hit = cache.Get("", "gold ring", 2, &domain);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->sql, "v2");
+  EXPECT_EQ(domain, "jewellery");
+  // A straggler from the old snapshot downgrades neither.
+  cache.Put("", "gold ring", 1, "cars", MakeParsed("v1-straggler"));
+  ASSERT_NE(cache.Get("", "gold ring", 2, &domain), nullptr);
+  EXPECT_EQ(domain, "jewellery");
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
 TEST(PreparedQueryCacheTest, StaleSnapshotVersionMisses) {
   PreparedQueryCache cache;
-  cache.Put("cars", "red honda", 1, MakeParsed("v1"));
+  cache.Put("cars", "red honda", 1, "cars", MakeParsed("v1"));
   EXPECT_EQ(cache.Get("cars", "red honda", 2), nullptr);
   // Refreshing with the new version replaces the stale entry in place.
-  cache.Put("cars", "red honda", 2, MakeParsed("v2"));
+  cache.Put("cars", "red honda", 2, "cars", MakeParsed("v2"));
   ASSERT_NE(cache.Get("cars", "red honda", 2), nullptr);
   EXPECT_EQ(cache.Get("cars", "red honda", 2)->sql, "v2");
   EXPECT_EQ(cache.stats().entries, 1u);
@@ -61,10 +115,10 @@ TEST(PreparedQueryCacheTest, StaleSnapshotVersionMisses) {
 
 TEST(PreparedQueryCacheTest, StalePutDoesNotDowngradeFresherEntry) {
   PreparedQueryCache cache;
-  cache.Put("cars", "q", 2, MakeParsed("v2"));
+  cache.Put("cars", "q", 2, "cars", MakeParsed("v2"));
   // A straggler request pinned on the old snapshot finishes late; its Put
   // must not stamp the entry back to v1 and cause v2 miss churn.
-  cache.Put("cars", "q", 1, MakeParsed("v1-straggler"));
+  cache.Put("cars", "q", 1, "cars", MakeParsed("v1-straggler"));
   auto hit = cache.Get("cars", "q", 2);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->sql, "v2");
@@ -77,10 +131,10 @@ TEST(PreparedQueryCacheTest, EvictsLeastRecentlyUsed) {
   options.num_shards = 1;  // single shard: deterministic LRU order
   PreparedQueryCache cache(options);
 
-  cache.Put("cars", "a", 1, MakeParsed("a"));
-  cache.Put("cars", "b", 1, MakeParsed("b"));
+  cache.Put("cars", "a", 1, "cars", MakeParsed("a"));
+  cache.Put("cars", "b", 1, "cars", MakeParsed("b"));
   ASSERT_NE(cache.Get("cars", "a", 1), nullptr);  // a is now MRU
-  cache.Put("cars", "c", 1, MakeParsed("c"));     // evicts b
+  cache.Put("cars", "c", 1, "cars", MakeParsed("c"));     // evicts b
 
   EXPECT_NE(cache.Get("cars", "a", 1), nullptr);
   EXPECT_EQ(cache.Get("cars", "b", 1), nullptr);
@@ -92,7 +146,7 @@ TEST(PreparedQueryCacheTest, EvictsLeastRecentlyUsed) {
 TEST(PreparedQueryCacheTest, ClearEmptiesAllShards) {
   PreparedQueryCache cache;
   for (int i = 0; i < 64; ++i) {
-    cache.Put("cars", "q" + std::to_string(i), 1, MakeParsed("x"));
+    cache.Put("cars", "q" + std::to_string(i), 1, "cars", MakeParsed("x"));
   }
   EXPECT_EQ(cache.stats().entries, 64u);
   cache.Clear();
@@ -106,7 +160,7 @@ TEST(PreparedQueryCacheTest, CapacitySplitsAcrossShards) {
   options.num_shards = 4;
   PreparedQueryCache cache(options);
   for (int i = 0; i < 1000; ++i) {
-    cache.Put("cars", "q" + std::to_string(i), 1, MakeParsed("x"));
+    cache.Put("cars", "q" + std::to_string(i), 1, "cars", MakeParsed("x"));
   }
   // Each shard holds at most capacity/num_shards entries.
   EXPECT_LE(cache.stats().entries, 8u);
@@ -126,10 +180,12 @@ TEST(PreparedQueryCacheTest, ConcurrentMixedTrafficIsSafe) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         std::string q = "q" + std::to_string((t * 31 + i) % 200);
-        if (auto hit = cache.Get("cars", q, 1)) {
+        std::string domain;
+        if (auto hit = cache.Get("", q, 1, &domain)) {
           EXPECT_EQ(hit->sql, q);
+          EXPECT_EQ(domain, "d" + q);
         } else {
-          cache.Put("cars", q, 1, MakeParsed(q));
+          cache.Put("", q, 1, "d" + q, MakeParsed(q));
         }
       }
     });

@@ -1,17 +1,22 @@
 // Concurrent-serving smoke tests: AskBatch over a ≥4-thread worker pool
 // must return byte-identical results to sequential CqadsEngine::Ask, the
-// prepared-query cache must not change answers, and snapshot swaps
+// prepared-query cache must not change answers, a cache hit must skip
+// classification (the cache memoizes the domain) without ever answering
+// for a stale snapshot or another request kind, and snapshot swaps
 // (retrain / AddDomain) must be safe while queries are in flight.
 #include "serve/concurrent_server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/ask_types.h"
 #include "eval/experiments.h"
 #include "qlog/ti_matrix.h"
@@ -50,12 +55,46 @@ class ServeTest : public ::testing::Test {
     questions_->clear();
   }
 
+  void TearDown() override { FailPoints::DisarmAll(); }
+
+  /// A private engine over `domains` of the world that the test may
+  /// mutate.
+  static void BuildEngine(core::CqadsEngine* engine,
+                          const std::vector<std::string>& domains,
+                          bool train_classifier = true) {
+    for (const std::string& domain : domains) {
+      qlog::TiMatrix ti = qlog::TiMatrix::Build(*world_->query_log(domain));
+      ASSERT_TRUE(engine->AddDomain(world_->table(domain), std::move(ti)).ok());
+    }
+    engine->SetWordSimilarity(&world_->ws_matrix());
+    if (train_classifier) {
+      ASSERT_TRUE(engine->TrainClassifier().ok());
+    }
+  }
+
   static datagen::World* world_;
   static std::vector<std::string>* questions_;
 };
 
 datagen::World* ServeTest::world_ = nullptr;
 std::vector<std::string>* ServeTest::questions_ = new std::vector<std::string>;
+
+std::string Canonical(const Result<core::AskResult>& r) {
+  return r.ok() ? core::CanonicalAskResultString(r.value())
+                : "ERROR:" + r.status().ToString();
+}
+
+/// Counts the server's out-of-pipeline classifications: the site sits right
+/// before ClassifyDomain, armed here with no delay and no error, so it
+/// only counts.
+class ClassifyCounter {
+ public:
+  ClassifyCounter() { FailPoints::Arm(kSite, FailPoints::Config()); }
+  ~ClassifyCounter() { FailPoints::Disarm(kSite); }
+  std::uint64_t count() const { return FailPoints::Hits(kSite); }
+
+  static constexpr const char* kSite = "serve.classify";
+};
 
 TEST_F(ServeTest, WorkerPoolRunsEverySubmittedTask) {
   WorkerPool pool(4);
@@ -127,6 +166,199 @@ TEST_F(ServeTest, CacheDoesNotChangeAnswers) {
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(uncached.cache_stats().hits + uncached.cache_stats().misses, 0u);
+}
+
+TEST_F(ServeTest, CacheHitSkipsClassification) {
+  ConcurrentServer server(&world_->engine());
+  ClassifyCounter classified;
+  const std::string& q = (*questions_)[0];
+  auto first = server.Ask(q);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(classified.count(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    auto again = server.Ask(q);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(again.value().domain, first.value().domain);
+    EXPECT_EQ(Canonical(again), Canonical(first));
+  }
+  EXPECT_EQ(classified.count(), 1u) << "a cache hit ran the classifier";
+  EXPECT_EQ(server.cache_stats().hits, 3u);
+  EXPECT_EQ(server.cache_stats().misses, 1u);
+}
+
+TEST_F(ServeTest, CaseAndWhitespaceVariantsShareOneClassifiedEntry) {
+  const core::CqadsEngine& engine = world_->engine();
+  ConcurrentServer server(&engine);
+  ClassifyCounter classified;
+  std::set<std::string> seen;
+  std::size_t checked = 0;
+  for (const std::string& q : *questions_) {
+    if (!seen.insert(PreparedQueryCache::NormalizeQuestion(q)).second) {
+      continue;
+    }
+    if (!engine.Ask(q).ok()) continue;
+    std::string upper = q, spread;
+    for (char& c : upper) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    for (char c : q) {
+      spread += (c == ' ') ? std::string(" \t  ") : std::string(1, c);
+    }
+    const std::uint64_t classified_before = classified.count();
+    const std::uint64_t misses_before = server.cache_stats().misses;
+    for (const std::string& variant :
+         {q, upper, "  " + q + "\n", spread, "\t" + upper + " "}) {
+      auto got = server.Ask(variant);
+      ASSERT_TRUE(got.ok()) << got.status() << " for " << variant;
+      // The memoized domain is the one ClassifyDomain gives on the raw
+      // variant, and the answer is the engine's for that variant.
+      auto want_domain = engine.ClassifyDomain(variant);
+      ASSERT_TRUE(want_domain.ok()) << want_domain.status();
+      EXPECT_EQ(got.value().domain, want_domain.value()) << variant;
+      EXPECT_EQ(Canonical(got), Canonical(engine.Ask(variant))) << variant;
+    }
+    EXPECT_EQ(classified.count(), classified_before + 1) << q;
+    EXPECT_EQ(server.cache_stats().misses, misses_before + 1) << q;
+    ++checked;
+  }
+  EXPECT_GE(checked, 40u);  // both domains' distinct answerable questions
+}
+
+TEST_F(ServeTest, SnapshotVersionBumpClassifiesAgain) {
+  core::CqadsEngine engine;
+  BuildEngine(&engine, {"cars"});
+  ConcurrentServer server(&engine);
+  ClassifyCounter classified;
+  const std::string& q = (*questions_)[0];
+
+  const auto ask_twice = [&](std::uint64_t expected_classifications) {
+    for (int i = 0; i < 2; ++i) {
+      auto got = server.Ask(q);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got.value().domain, engine.ClassifyDomain(q).value());
+      EXPECT_EQ(Canonical(got), Canonical(engine.Ask(q)));
+    }
+    EXPECT_EQ(classified.count(), expected_classifications);
+  };
+  // Each write publishes a new snapshot version; the next ask misses and
+  // classifies on the new snapshot, the one after hits again.
+  ask_twice(1);
+  std::uint64_t version = engine.snapshot()->version();
+  qlog::TiMatrix ti = qlog::TiMatrix::Build(*world_->query_log("jewellery"));
+  ASSERT_TRUE(
+      engine.AddDomain(world_->table("jewellery"), std::move(ti)).ok());
+  ASSERT_GT(engine.snapshot()->version(), version);
+  // AddDomain leaves the classifier untrained until the next retrain: both
+  // asks classify, fail, and cache nothing.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(server.Ask(q).status().code(), StatusCode::kFailedPrecondition);
+  }
+  EXPECT_EQ(classified.count(), 3u);
+  ASSERT_TRUE(engine.TrainClassifier().ok());
+  ask_twice(4);
+  version = engine.snapshot()->version();
+  auto row = engine.IngestAd("cars", world_->table("cars")->row(0));
+  ASSERT_TRUE(row.ok()) << row.status();
+  ASSERT_GT(engine.snapshot()->version(), version);
+  ask_twice(5);
+  ASSERT_TRUE(engine.RetireAd("cars", row.value()).ok());
+  ask_twice(6);
+  EXPECT_EQ(server.cache_stats().misses, 6u);
+  EXPECT_EQ(server.cache_stats().hits, 4u);
+}
+
+TEST_F(ServeTest, FailedClassificationIsNotCached) {
+  {
+    // A real failure: the classifier is not trained yet.
+    core::CqadsEngine engine;
+    BuildEngine(&engine, {"cars", "jewellery"}, /*train_classifier=*/false);
+    ConcurrentServer server(&engine);
+    auto failed = server.Ask((*questions_)[0]);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(server.cache_stats().entries, 0u);
+    // In-domain asks need no classifier and are cached as before.
+    ASSERT_TRUE(server.AskInDomain("cars", (*questions_)[0]).ok());
+    EXPECT_EQ(server.cache_stats().entries, 1u);
+  }
+  // An injected failure on the same snapshot: the next ask classifies again
+  // instead of replaying anything.
+  ConcurrentServer server(&world_->engine());
+  FailPoints::Config fail_once;
+  fail_once.error = StatusCode::kInternal;
+  fail_once.limit = 1;
+  FailPoints::Arm(ClassifyCounter::kSite, fail_once);
+  const std::string& q = (*questions_)[0];
+  auto failed = server.Ask(q);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(server.cache_stats().entries, 0u);
+  auto answered = server.Ask(q);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(Canonical(answered), Canonical(world_->engine().Ask(q)));
+  EXPECT_EQ(FailPoints::Hits(ClassifyCounter::kSite), 2u);
+  EXPECT_EQ(server.cache_stats().hits, 0u);
+  ASSERT_TRUE(server.Ask(q).ok());
+  EXPECT_EQ(FailPoints::Hits(ClassifyCounter::kSite), 2u);
+  EXPECT_EQ(server.cache_stats().hits, 1u);
+}
+
+TEST_F(ServeTest, ExpiredBudgetFailsBeforeAnyCacheLookup) {
+  const core::CqadsEngine& engine = world_->engine();
+  ConcurrentServer server(&engine);
+  const std::string& q = (*questions_)[0];
+  const std::string domain = engine.ClassifyDomain(q).value();
+  const Deadline expired = Deadline::After(std::chrono::microseconds(-1));
+  ClassifyCounter classified;
+  for (int warm = 0; warm < 2; ++warm) {
+    // Cold, then with both entries resident: never a lookup, never a
+    // classification.
+    const PreparedQueryCache::Stats before = server.cache_stats();
+    EXPECT_EQ(server.Ask(q, expired).status().code(),
+              StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(server.AskInDomain(domain, q, expired).status().code(),
+              StatusCode::kDeadlineExceeded);
+    const PreparedQueryCache::Stats after = server.cache_stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(classified.count(), warm == 0 ? 0u : 1u);
+    ASSERT_TRUE(server.Ask(q).ok());
+    ASSERT_TRUE(server.AskInDomain(domain, q).ok());
+  }
+  EXPECT_EQ(server.stats().deadline_exceeded, 4u);
+}
+
+TEST_F(ServeTest, AskInDomainEntriesNeverAnswerAsk) {
+  const core::CqadsEngine& engine = world_->engine();
+  ConcurrentServer server(&engine);
+  ClassifyCounter classified;
+  const std::string& q = (*questions_)[0];
+  const std::string domain = engine.ClassifyDomain(q).value();
+  const std::string other = domain == "cars" ? "jewellery" : "cars";
+
+  // Forced into the wrong domain first: a later ask must not replay it.
+  auto forced = server.AskInDomain(other, q);
+  ASSERT_TRUE(forced.ok()) << forced.status();
+  EXPECT_EQ(forced.value().domain, other);
+  auto asked = server.Ask(q);
+  ASSERT_TRUE(asked.ok()) << asked.status();
+  EXPECT_EQ(asked.value().domain, domain);
+  EXPECT_EQ(Canonical(asked), Canonical(engine.Ask(q)));
+  EXPECT_EQ(classified.count(), 1u);
+  EXPECT_EQ(server.cache_stats().hits, 0u);
+
+  // Even the right domain's in-domain entry is a separate entry.
+  ASSERT_TRUE(server.AskInDomain(domain, q).ok());
+  EXPECT_EQ(server.cache_stats().hits, 0u);
+  EXPECT_EQ(server.cache_stats().misses, 3u);
+  EXPECT_EQ(server.cache_stats().entries, 3u);
+
+  // From here on each request kind hits its own entry.
+  EXPECT_EQ(server.Ask(q).value().domain, domain);
+  EXPECT_EQ(server.AskInDomain(other, q).value().domain, other);
+  EXPECT_EQ(server.AskInDomain(domain, q).value().domain, domain);
+  EXPECT_EQ(server.cache_stats().hits, 3u);
+  EXPECT_EQ(classified.count(), 1u);
 }
 
 TEST_F(ServeTest, ServerTimingsIncludeClassification) {
