@@ -187,7 +187,7 @@ inline void RaiseThreshold(std::atomic<double>* threshold, double v,
   }
 }
 
-/// Per-worker scoring state for the parallel rank sweeps. SimScorer is not
+/// Per-worker scoring state for the rank sweeps. SimScorer is not
 /// thread-safe (its memo tables mutate), so each concurrently-running morsel
 /// body borrows a slot — scorer, top-k accumulator, scratch buffers, local
 /// counters — through a lock-free free-bitmask. At most `parallelism` bodies
@@ -199,12 +199,17 @@ inline void RaiseThreshold(std::atomic<double>* threshold, double v,
 class RankSlots {
  public:
   struct Slot {
-    explicit Slot(std::size_t k) : topk(k) {}
+    explicit Slot(std::size_t k) : topk(k) {
+      rows.reserve(db::exec::kRankBlockRows);
+      rank.reserve(db::exec::kRankBlockRows);
+      unit.reserve(db::exec::kRankBlockRows);
+    }
     SimScorer* scorer = nullptr;
     std::unique_ptr<SimScorer> owned;  ///< slots past 0 own their scorer
     db::exec::TopK topk;
     std::vector<db::RowId> rows;       ///< gather scratch
     std::vector<double> rank, unit;    ///< ScoreBlock outputs
+    std::vector<db::exec::TopKEntry> batch;  ///< TopK::PushBatch scratch
     std::size_t blocks_visited = 0;
     std::size_t blocks_skipped = 0;
     std::size_t rows_pruned = 0;
@@ -557,14 +562,24 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   // request whose exact answers are already correct.
   const ExecControl control = ctx->control();
 
-  // ---- Pruned, morsel-parallel top-k selection ----------------------------
+  // ---- Pruned top-k selection ---------------------------------------------
   // Only the first (answer_cap - exact) partials can ship, so ranking is a
-  // bounded top-k selection, not a full sort. Per-worker TopK accumulators
-  // (db/exec/topk.h) merge deterministically; per-block score upper bounds
-  // (db/exec/rank_bounds.h + SimScorer::ComputeBlockBounds) let whole 1024-
-  // row blocks be skipped once the shared threshold rises above their best
-  // possible score, and order the visits best bound first so it rises
-  // early; both sweeps fan out on the exec morsel scheduler.
+  // bounded top-k selection, not a full sort. Per-block score upper bounds
+  // (db/exec/rank_bounds.h + SimScorer::ComputeBlockBounds) order the visits
+  // best bound first, so the threshold rises early, and let whole 1024-row
+  // blocks be skipped once it rises above their best possible score. The
+  // work follows the candidates, not the table:
+  //   - an N-1 pass is deduped and cut into runs only over the bitmap words
+  //     it spans (for a row-list pass, its first row to its last);
+  //   - a visited block offers TopK::PushBatch only the rows its heap would
+  //     accept, of which the block's best k are pushed, and the threshold is
+  //     published once per block;
+  //   - a serial sweep is a plain loop on slot 0. Runs come best bound
+  //     first and the threshold only rises, so the first prunable run ends
+  //     the sweep and the rest are counted as skipped in bulk.
+  // A parallel sweep (exec_runner set, enough candidates) fans the same
+  // visit body out on the exec morsel scheduler, with per-worker TopK
+  // accumulators (db/exec/topk.h) merged deterministically.
   // Requires the id-keyed SimScorer; the string-keyed oracle path keeps the
   // serial shape below.
   if (options.use_topk_rank && scorer.has_value()) {
@@ -587,7 +602,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     bool degraded = false;
 
     // Scores the slot's gathered rows of `table` (local ids; global id =
-    // id_base + local) and pushes them into the slot's top-k.
+    // id_base + local) and offers those its top-k would accept as one
+    // batch; a tightened threshold is published once per call.
     auto score_and_push = [&](RankSlots::Slot& sl, const db::Table& table,
                               SimScorer& sc, std::size_t id_base,
                               std::size_t dropped, bool require_positive) {
@@ -605,21 +621,24 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           sl.unit[i] = p.unit_sim;
         }
       }
+      if (sl.batch.size() < n) sl.batch.resize(n);
+      db::exec::TopKEntry* batch = sl.batch.data();
+      std::size_t m = 0;
       for (std::size_t i = 0; i < n; ++i) {
         if (require_positive && sl.unit[i] <= 0.0) continue;
-        if (sl.topk.Push(sl.rank[i],
-                         static_cast<db::RowId>(id_base + sl.rows[i]),
-                         static_cast<std::uint32_t>(dropped)) &&
-            sl.topk.full()) {
-          RaiseThreshold(&shared_threshold, sl.topk.threshold(),
-                         &sl.threshold_updates);
-        }
+        batch[m++] = db::exec::TopKEntry{
+            sl.rank[i], static_cast<db::RowId>(id_base + sl.rows[i]),
+            static_cast<std::uint32_t>(dropped)};
+      }
+      if (sl.topk.PushBatch(batch, m) && sl.topk.full()) {
+        RaiseThreshold(&shared_threshold, sl.topk.threshold(),
+                       &sl.threshold_updates);
       }
       sl.rows.clear();
     };
     // Delta rows: gathered (local ids) into slot 0 and scored as one batch
-    // on the caller after the parallel base sweep finished (slot 0 is then
-    // free), with the delta's own scorer.
+    // on the caller after the base sweep finished (slot 0 is then free),
+    // with the delta's own scorer.
     auto score_delta = [&](std::size_t dropped, bool require_positive) {
       RankSlots::Slot& sl = slots.slot(0);
       if (sl.rows.empty()) return;
@@ -641,45 +660,83 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     // before weak blocks come up. The top-k answer does not depend on visit
     // order (db/exec/topk.h), and a run is skipped only when its bound is
     // STRICTLY below the live threshold (an equal-score smaller-row
-    // candidate can still displace the k-th entry). One run per morsel:
-    // serial and parallel sweeps both walk that order. `gather` appends a
+    // candidate can still displace the k-th entry). `gather` appends a
     // visited run's rows to the slot's scratch, which score_and_push leaves
     // empty. Returns false when the deadline cut the sweep short.
     auto sweep = [&](bool prunable, std::size_t dropped, bool require_positive,
                      bool parallel, const auto& gather) {
-      if (prunable) {
-        std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
-          if (ub[a.block] != ub[b.block]) return ub[a.block] > ub[b.block];
-          return a.block < b.block;
-        });
-      }
-      auto body = [&](std::size_t i) {
-        const Run& run = runs[i];
-        const std::size_t s_idx = slots.Acquire();
-        RankSlots::Slot& sl = slots.slot(s_idx);
-        if (prunable &&
-            ((require_positive && ub[run.block] <= 0.0) ||
-             exact_part + ub[run.block] <
-                 shared_threshold.load(std::memory_order_relaxed))) {
-          ++sl.blocks_skipped;
-          sl.rows_pruned += run.rows;
-        } else {
-          ++sl.blocks_visited;
-          gather(run, &sl.rows);
-          score_and_push(sl, *rt.table, *sl.scorer, 0, dropped,
-                         require_positive);
-        }
-        slots.Release(s_idx);
+      auto prunes = [&](const Run& run) {
+        return prunable &&
+               ((require_positive && ub[run.block] <= 0.0) ||
+                exact_part + ub[run.block] <
+                    shared_threshold.load(std::memory_order_relaxed));
       };
-      return db::exec::RunMorsels(runs.size(), parallel ? par : 1,
-                                  parallel ? runner : nullptr, body, &control);
+      auto visit = [&](RankSlots::Slot& sl, const Run& run) {
+        ++sl.blocks_visited;
+        gather(run, &sl.rows);
+        score_and_push(sl, *rt.table, *sl.scorer, 0, dropped,
+                       require_positive);
+      };
+      // True when `a` is visited after `b`.
+      auto later = [&](const Run& a, const Run& b) {
+        if (ub[a.block] != ub[b.block]) return ub[a.block] < ub[b.block];
+        return a.block > b.block;
+      };
+      if (!parallel) {
+        // With bounds, a max-heap under `later` yields the runs in visit
+        // order without sorting the ones the bulk skip never reaches.
+        RankSlots::Slot& sl = slots.slot(0);
+        std::size_t rows_left = 0;
+        for (const Run& run : runs) rows_left += run.rows;
+        if (prunable) std::make_heap(runs.begin(), runs.end(), later);
+        for (std::size_t left = runs.size(); left > 0; --left) {
+          const Run* run = &runs[runs.size() - left];
+          if (prunable) {
+            std::pop_heap(runs.begin(),
+                          runs.begin() + static_cast<std::ptrdiff_t>(left),
+                          later);
+            run = &runs[left - 1];
+            if (prunes(*run)) {
+              sl.blocks_skipped += left;
+              sl.rows_pruned += rows_left;
+              break;
+            }
+          }
+          if (control.Expired()) return false;
+          visit(sl, *run);
+          rows_left -= run->rows;
+        }
+        return true;
+      }
+      if (prunable) {
+        std::sort(runs.begin(), runs.end(),
+                  [&](const Run& a, const Run& b) { return later(b, a); });
+      }
+      return db::exec::RunMorsels(
+          runs.size(), par, runner,
+          [&](std::size_t i) {
+            const Run& run = runs[i];
+            const std::size_t s_idx = slots.Acquire();
+            RankSlots::Slot& sl = slots.slot(s_idx);
+            if (prunes(run)) {
+              ++sl.blocks_skipped;
+              sl.rows_pruned += run.rows;
+            } else {
+              visit(sl, run);
+            }
+            slots.Release(s_idx);
+          },
+          &control);
     };
 
     if (units.size() >= 2) {
       // N-1 relaxation passes stay SEQUENTIAL — the first pass that reaches
-      // a row owns its measure label, exactly like the serial path. Each
-      // pass arrives as a bitmap over [0, total_rows) and is deduped word
-      // by word: cand = pass & ~already; already |= pass. Runs are built
+      // a row owns its measure label, exactly like the serial path. A pass
+      // arrives as a bitmap over [0, total_rows) or, far more often, as a
+      // sorted row list. Either way it is deduped one 64-row word at a time
+      // (cand = pass & ~already; already |= pass) over only the words it
+      // spans: every word of a bitmap, the words from a row list's first
+      // row to its last (laid into a span-sized scratch). Runs are built
       // from the rank blocks holding base candidates, sized by popcount;
       // row ids are gathered only for the blocks the sweep visits. Rows at
       // or past base_rows (the tail of the block straddling the boundary,
@@ -703,6 +760,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
               offset));
         }
       };
+      std::uint64_t* a = already.word_data();
+      std::vector<std::uint64_t> span_words;  // a row-list pass's words
       for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
         if (control.Expired()) {
           degraded = true;
@@ -717,26 +776,37 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           }
           continue;
         }
-        // A plan bitmap spans the base table, which is all of [0,
-        // total_rows) on the only path that yields one (no live delta).
+        // The pass's candidate words: word w in [w_lo, w_hi) is
+        // c[w - w_lo]. A plan bitmap spans the base table, which is all of
+        // [0, total_rows) on the only path that yields one (no live delta).
         db::exec::LazyRowSet& pass_set = rel.value();
-        db::exec::RowBitmap cand =
-            pass_set.is_bitmap()
-                ? std::move(*pass_set.bitmap)
-                : db::exec::RowBitmap::FromSet(pass_set.rows, total_rows);
-        assert(cand.universe() == total_rows);
-        std::uint64_t* c = cand.word_data();
-        std::uint64_t* a = already.word_data();
-        const std::size_t n_words = already.word_count();
+        std::size_t w_lo = 0;
+        std::size_t w_hi = already.word_count();
+        std::uint64_t* c = nullptr;
+        if (pass_set.is_bitmap()) {
+          assert(pass_set.bitmap->universe() == total_rows);
+          c = pass_set.bitmap->word_data();
+        } else {
+          const db::RowSet& pass_rows = pass_set.rows;
+          if (pass_rows.empty()) continue;
+          assert(pass_rows.back() < total_rows);
+          w_lo = pass_rows.front() / 64;
+          w_hi = pass_rows.back() / 64 + 1;
+          span_words.assign(w_hi - w_lo, 0);
+          db::exec::OrRowsIntoWords(pass_rows, w_lo, span_words.data());
+          c = span_words.data();
+        }
         runs.clear();
         std::size_t cand_base = 0;
-        for (std::size_t w0 = 0; w0 < n_words; w0 += kWordsPerBlock) {
-          const std::size_t w1 = std::min(w0 + kWordsPerBlock, n_words);
+        for (std::size_t w0 = w_lo - w_lo % kWordsPerBlock; w0 < w_hi;
+             w0 += kWordsPerBlock) {
+          const std::size_t w1 = std::min(w0 + kWordsPerBlock, w_hi);
           std::size_t count = 0;
-          for (std::size_t w = w0; w < w1; ++w) {
-            const std::uint64_t fresh = c[w] & ~a[w];
-            a[w] |= c[w];
-            c[w] = fresh;
+          for (std::size_t w = std::max(w0, w_lo); w < w1; ++w) {
+            std::uint64_t& cw = c[w - w_lo];
+            const std::uint64_t fresh = cw & ~a[w];
+            a[w] |= cw;
+            cw = fresh;
             count += static_cast<std::size_t>(
                 __builtin_popcountll(base_bits(w, fresh)));
           }
@@ -750,23 +820,22 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
             scorer->ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
         const bool par_pass =
             runner != nullptr && cand_base >= db::exec::kMinRowsForParallelExec;
-        const std::uint64_t* cw = cand.word_data();
         const bool finished = sweep(
             prunable, dropped, /*require_positive=*/false, par_pass,
             [&](const Run& run, std::vector<db::RowId>* rows) {
-              const std::size_t w0 = run.block * kWordsPerBlock;
-              const std::size_t w1 = std::min(w0 + kWordsPerBlock, n_words);
-              for (std::size_t w = w0; w < w1; ++w) {
-                emit_word(w, base_bits(w, cw[w]), 0, rows);
+              const std::size_t b0 = run.block * kWordsPerBlock;
+              const std::size_t w1 = std::min(b0 + kWordsPerBlock, w_hi);
+              for (std::size_t w = std::max(b0, w_lo); w < w1; ++w) {
+                emit_word(w, base_bits(w, c[w - w_lo]), 0, rows);
               }
             });
         if (!finished) {
           degraded = true;
           break;
         }
-        for (std::size_t w = base_words; w < n_words; ++w) {
-          emit_word(w, cw[w] & ~base_bits(w, ~std::uint64_t{0}), base_rows,
-                    &slots.slot(0).rows);
+        for (std::size_t w = std::max(base_words, w_lo); w < w_hi; ++w) {
+          emit_word(w, c[w - w_lo] & ~base_bits(w, ~std::uint64_t{0}),
+                    base_rows, &slots.slot(0).rows);
         }
         score_delta(dropped, /*require_positive=*/false);
       }
@@ -819,17 +888,20 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
 
     // Deterministic merge: the union of per-worker top-ks contains the
     // global top-k (see db/exec/topk.h), so re-selecting over the union
-    // reproduces the serial answer regardless of morsel schedule.
-    db::exec::TopK merged(k);
+    // (folded into slot 0's accumulator) reproduces the serial answer
+    // regardless of morsel schedule.
+    db::exec::TopK& merged = slots.slot(0).topk;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       RankSlots::Slot& sl = slots.slot(i);
-      merged.Merge(std::move(sl.topk));
+      if (i != 0) merged.Merge(std::move(sl.topk));
       out.stats.rank_blocks_visited += sl.blocks_visited;
       out.stats.rank_blocks_skipped += sl.blocks_skipped;
       out.stats.rank_rows_pruned += sl.rows_pruned;
       out.stats.rank_threshold_updates += sl.threshold_updates;
     }
-    for (const auto& e : merged.Take()) {
+    const std::vector<db::exec::TopKEntry> best = merged.Take();
+    out.answers.reserve(out.answers.size() + best.size());
+    for (const auto& e : best) {
       out.answers.push_back(
           Answer{e.row, false, e.score, scorer->unit_measure(e.tag)});
     }

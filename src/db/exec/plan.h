@@ -24,10 +24,13 @@
 // §4.3 Type-rank order: conjunction reordering changes work, never the set.
 //
 // N-1 candidate generation (core/pipeline.cc RankStage) runs one relaxed
-// plan per dropped unit through PhysicalPlan::ExecuteLazy and never
-// materializes its rows: the pass arrives as a bitmap, is deduped against
-// the rows already answered one 64-row word at a time, and row ids are
-// gathered only for the 1024-row rank blocks the sweep visits.
+// plan per dropped unit through PhysicalPlan::ExecuteLazy and takes its
+// LazyRowSet as the nodes produced it: a bitmap when a block scan made
+// one, otherwise (the usual case: index postings and residual filters) a
+// sorted row list. Either way the pass is deduped against the rows
+// already answered one 64-row word at a time, over only the words it
+// spans (a row list's first row to its last), and row ids are gathered
+// only for the 1024-row rank blocks the sweep visits.
 #ifndef CQADS_DB_EXEC_PLAN_H_
 #define CQADS_DB_EXEC_PLAN_H_
 

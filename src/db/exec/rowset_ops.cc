@@ -12,24 +12,33 @@ bool UseBitmap(const RowSet& a, const RowSet& b, std::size_t universe) {
 
 RowBitmap RowBitmap::FromSet(const RowSet& set, std::size_t universe) {
   RowBitmap bm(universe);
+  OrRowsIntoWords(set, 0, bm.words_.data());
+  return bm;
+}
+
+void OrRowsIntoWords(const RowSet& set, std::size_t first_word,
+                     std::uint64_t* words) {
   // A sorted, duplicate-free set holds all 64 rows of a word exactly when
   // the 64 entries starting at the word's first row span 63: such runs
-  // (postings of clustered rows) store a whole word at once. Everything
-  // else sets one bit per row.
+  // (postings of clustered rows) store a whole word at once. Any other
+  // word gathers its rows in a register and is written once, so
+  // consecutive rows never wait on a store to the same word.
   const std::size_t n = set.size();
   std::size_t i = 0;
-  while (i + 64 <= n) {
+  while (i < n) {
     const RowId r = set[i];
-    if (r % 64 == 0 && set[i + 63] - r == 63) {
-      bm.words_[r / 64] = ~std::uint64_t{0};
+    const std::size_t w = r / 64;
+    if (r % 64 == 0 && i + 64 <= n && set[i + 63] - r == 63) {
+      words[w - first_word] = ~std::uint64_t{0};
       i += 64;
-    } else {
-      bm.Set(r);
-      ++i;
+      continue;
     }
+    std::uint64_t bits = 0;
+    for (; i < n && set[i] / 64 == w; ++i) {
+      bits |= std::uint64_t{1} << (set[i] % 64);
+    }
+    words[w - first_word] |= bits;
   }
-  for (; i < n; ++i) bm.Set(set[i]);
-  return bm;
 }
 
 void RowBitmap::UnionWith(const RowBitmap& other) {

@@ -81,6 +81,13 @@ class RowBitmap {
   std::vector<std::uint64_t> words_;
 };
 
+/// ORs the rows of a sorted, duplicate-free `set` into `words`, where
+/// words[0] is bitmap word `first_word`: every row must lie in the words
+/// the array covers. RowBitmap::FromSet's kernel; the rank stage lays an
+/// N-1 pass into just the words the pass spans.
+void OrRowsIntoWords(const RowSet& set, std::size_t first_word,
+                     std::uint64_t* words);
+
 /// A row set flowing between plan nodes in whichever representation the
 /// producer found natural: a sorted vector (sparse index results) or a
 /// whole-universe bitmap (block-scan masks). The vectorized execution path

@@ -93,6 +93,29 @@ class TopK {
     return full();
   }
 
+  /// Offers a whole batch (one rank block's scored rows) at once: drops the
+  /// candidates WouldAccept rejects against the heap as it stands, keeps
+  /// only the batch's best k under TopKBetter (std::nth_element), and pushes
+  /// those. Exact under a total order: top-k(heap ∪ batch) = top-k(heap ∪
+  /// top-k(batch)), and a candidate the heap rejects now stays rejected
+  /// after any later push (pushes only raise the k-th entry). Reorders
+  /// batch[0, n). Returns true when the k-th threshold tightened.
+  bool PushBatch(TopKEntry* batch, std::size_t n) {
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (WouldAccept(batch[i].score, batch[i].row)) batch[m++] = batch[i];
+    }
+    if (m > k_) {
+      std::nth_element(batch, batch + k_, batch + m, TopKBetter);
+      m = k_;
+    }
+    bool tightened = false;
+    for (std::size_t i = 0; i < m; ++i) {
+      tightened = Push(batch[i].score, batch[i].row, batch[i].tag) || tightened;
+    }
+    return tightened;
+  }
+
   /// Destructive extraction in answer order (best first).
   std::vector<TopKEntry> Take() {
     std::sort(heap_.begin(), heap_.end(), TopKBetter);

@@ -1,5 +1,6 @@
 #include "serve/net/net_server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
@@ -297,8 +298,11 @@ Response MakeAskResponse(std::uint64_t id, Result<core::AskResult> result) {
 
 Deadline BudgetToDeadline(double budget_ms) {
   if (budget_ms > 0.0) {
+    // DecodeRequest already rejects budgets above the cap; clamping again
+    // keeps the microsecond cast and arrival + budget defined for any
+    // caller.
     return Deadline::After(std::chrono::microseconds(
-        static_cast<std::int64_t>(budget_ms * 1000.0)));
+        static_cast<std::int64_t>(std::min(budget_ms, kMaxBudgetMs) * 1000.0)));
   }
   if (budget_ms < 0.0) {
     // Already expired — the deterministic wire form of "this request's

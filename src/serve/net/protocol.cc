@@ -1,10 +1,28 @@
 #include "serve/net/protocol.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "common/json.h"
 
 namespace cqads::serve::net {
+
+namespace {
+
+/// The optional "id" member as an exact uint64 (absent = 0). JSON numbers
+/// arrive as doubles, and casting one that is negative, non-integral or at
+/// least 2^64 is undefined behaviour, so those are rejected instead.
+Result<std::uint64_t> DecodeId(const JsonValue& v, const char* what) {
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  const double id = v.GetNumber("id", 0.0);
+  if (!(id >= 0.0) || id >= kTwoTo64 || std::floor(id) != id) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " id is not an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(id);
+}
+
+}  // namespace
 
 void AppendFrame(std::string_view payload, std::string* out) {
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
@@ -110,9 +128,9 @@ Result<Request> DecodeRequest(std::string_view payload) {
     return Status::InvalidArgument("request is not a JSON object");
   }
   Request request;
-  const double id = v.GetNumber("id", 0.0);
-  if (id < 0.0) return Status::InvalidArgument("negative request id");
-  request.id = static_cast<std::uint64_t>(id);
+  auto id = DecodeId(v, "request");
+  if (!id.ok()) return id.status();
+  request.id = id.value();
   request.method = v.GetString("method");
   if (request.method.empty()) {
     return Status::InvalidArgument("request has no method");
@@ -120,6 +138,11 @@ Result<Request> DecodeRequest(std::string_view payload) {
   request.domain = v.GetString("domain");
   request.question = v.GetString("question");
   request.budget_ms = v.GetNumber("budget_ms", 0.0);
+  if (!std::isfinite(request.budget_ms) || request.budget_ms > kMaxBudgetMs) {
+    return Status::InvalidArgument(
+        "budget_ms is not finite or exceeds " +
+        std::to_string(static_cast<std::int64_t>(kMaxBudgetMs)) + " ms");
+  }
   return request;
 }
 
@@ -172,9 +195,9 @@ Result<Response> DecodeResponse(std::string_view payload) {
     return Status::InvalidArgument("response is not a JSON object");
   }
   Response response;
-  const double id = v.GetNumber("id", 0.0);
-  if (id < 0.0) return Status::InvalidArgument("negative response id");
-  response.id = static_cast<std::uint64_t>(id);
+  auto id = DecodeId(v, "response");
+  if (!id.ok()) return id.status();
+  response.id = id.value();
   response.status = v.GetString("status");
   if (response.status.empty()) {
     return Status::InvalidArgument("response has no status");

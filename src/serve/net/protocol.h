@@ -20,7 +20,10 @@
 // budget_ms > 0 sets the request deadline (arrival + budget, propagated
 // into the engine's Deadline/CancelToken machinery); 0/absent = no
 // deadline; < 0 = an already-expired deadline (deterministic test hook for
-// the expired-in-queue path).
+// the expired-in-queue path). A budget above kMaxBudgetMs, or not finite,
+// is a bad request. `id` (absent = 0) must be a non-negative integer below
+// 2^64; anything else is a bad request too. Ids above 2^53 travel as JSON
+// doubles and so round to the nearest representable value.
 //
 // Responses:
 //   {"id":7,"status":"ok","degraded":false,"domain":"cars",
@@ -56,6 +59,11 @@ namespace cqads::serve::net {
 /// responses are answer tables (KB); 16 MiB is far above anything legal,
 /// close below anything an attacker would like the server to buffer.
 inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
+
+/// Largest accepted request budget_ms: one day. Anything longer is no
+/// deadline in practice, and the cap keeps arrival + budget (microseconds
+/// on the steady clock) far from overflow.
+inline constexpr double kMaxBudgetMs = 86'400'000.0;
 
 /// Appends one frame (length prefix + payload) to `out`.
 void AppendFrame(std::string_view payload, std::string* out);
@@ -113,10 +121,12 @@ struct Response {
 
 std::string EncodeRequest(const Request& request);
 /// Strict decode of an untrusted request payload: must be a JSON object
-/// with a string "method"; unknown members are ignored (forward compat).
+/// with a string "method", an in-range id and budget_ms (see the header
+/// comment); unknown members are ignored (forward compat).
 Result<Request> DecodeRequest(std::string_view payload);
 
 std::string EncodeResponse(const Response& response);
+/// Decodes a response payload; rejects ids the way DecodeRequest does.
 Result<Response> DecodeResponse(std::string_view payload);
 
 /// "ok", "deadline_exceeded", ... — the lowercase wire form of a code.

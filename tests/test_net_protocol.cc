@@ -275,6 +275,65 @@ TEST(CodecTest, RejectsMalformedRequests) {
   EXPECT_FALSE(DecodeRequest("{\"id\":-3,\"method\":\"ask\"}").ok());
 }
 
+// Ids arrive as JSON doubles; casting one outside [0, 2^64) or with a
+// fraction to uint64 would be undefined behaviour, so both codecs reject
+// them as bad input (the float-cast-overflow sanitizer leg checks that no
+// such cast remains).
+TEST(CodecTest, RejectsIdsOutsideTheUint64Range) {
+  for (const char* id : {"1e30", "18446744073709551616", "1.5", "-0.5",
+                         "-3", "1e400"}) {
+    const std::string request =
+        std::string("{\"id\":") + id + ",\"method\":\"ping\"}";
+    const std::string response =
+        std::string("{\"id\":") + id + ",\"status\":\"ok\"}";
+    auto req = DecodeRequest(request);
+    EXPECT_FALSE(req.ok()) << request;
+    if (!req.ok()) {
+      EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument) << request;
+    }
+    EXPECT_FALSE(DecodeResponse(response).ok()) << response;
+  }
+  // The largest double below 2^64, zero and an absent id are all valid.
+  auto top = DecodeRequest(
+      "{\"id\":18446744073709549568,\"method\":\"ping\"}");
+  ASSERT_TRUE(top.ok()) << top.status();
+  EXPECT_EQ(top.value().id, 18446744073709549568u);
+  auto top_response =
+      DecodeResponse("{\"id\":18446744073709549568,\"status\":\"ok\"}");
+  ASSERT_TRUE(top_response.ok()) << top_response.status();
+  EXPECT_EQ(top_response.value().id, 18446744073709549568u);
+  auto zero = DecodeRequest("{\"id\":0,\"method\":\"ping\"}");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero.value().id, 0u);
+  auto absent = DecodeRequest("{\"method\":\"ping\"}");
+  ASSERT_TRUE(absent.ok()) << absent.status();
+  EXPECT_EQ(absent.value().id, 0u);
+}
+
+// A budget is turned into microseconds past the arrival instant, so a
+// huge one would overflow; budgets above kMaxBudgetMs are bad requests.
+// The negative test hook stays valid however large.
+TEST(CodecTest, RejectsBudgetsAboveTheCap) {
+  auto ask = [](const std::string& budget) {
+    return DecodeRequest("{\"id\":1,\"method\":\"ask\",\"question\":\"q\","
+                         "\"budget_ms\":" +
+                         budget + "}");
+  };
+  for (const char* budget : {"1e300", "86400000.5", "1e400"}) {
+    auto r = ask(budget);
+    EXPECT_FALSE(r.ok()) << budget;
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << budget;
+    }
+  }
+  auto at_cap = ask("86400000");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+  EXPECT_EQ(at_cap.value().budget_ms, kMaxBudgetMs);
+  auto very_negative = ask("-1e300");
+  ASSERT_TRUE(very_negative.ok()) << very_negative.status();
+  EXPECT_EQ(very_negative.value().budget_ms, -1e300);
+}
+
 TEST(CodecTest, ResponseRoundTripsEveryStatus) {
   const StatusCode codes[] = {
       StatusCode::kOk,         StatusCode::kInvalidArgument,

@@ -290,6 +290,68 @@ TEST_F(NetServeTest, MalformedJsonAnswersErrorAndKeepsConnectionOpen) {
   EXPECT_EQ(server.value()->net_stats().protocol_errors, 0u);
 }
 
+// Out-of-range wire numbers are bad requests, never undefined casts: an id
+// of 1e30 or 2^64, a fractional id, and a budget far past kMaxBudgetMs each
+// get an invalid_argument answer, and the connection keeps serving.
+TEST_F(NetServeTest, OutOfRangeIdsAndBudgetsAreBadRequests) {
+  NetServer::Options options;
+  options.unix_path = SocketPath();
+  auto server = StartServer(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  auto fd = cqads::net::UnixConnect(server.value()->unix_path());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  const std::string question = (*questions_)[0];
+  const std::vector<std::string> bad = {
+      "{\"id\":1e30,\"method\":\"ping\"}",
+      "{\"id\":18446744073709551616,\"method\":\"statsz\"}",
+      "{\"id\":2.5,\"method\":\"ping\"}",
+      "{\"id\":5,\"method\":\"ask\",\"question\":\"" + question +
+          "\",\"budget_ms\":1e300}",
+  };
+  std::string wire;
+  for (const auto& payload : bad) AppendFrame(payload, &wire);
+  // A budget at the cap is served like no budget at all.
+  Request capped = MakeAsk(6, question, kMaxBudgetMs);
+  AppendFrame(EncodeRequest(capped), &wire);
+  ASSERT_TRUE(cqads::net::WriteFull(fd.value().get(), wire.data(), wire.size())
+                  .ok());
+
+  FrameDecoder decoder;
+  std::vector<Response> responses;
+  while (responses.size() < bad.size() + 1) {
+    char buf[4096];
+    auto got = cqads::net::ReadFull(fd.value().get(), buf, 1);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(got.value()) << "server closed on an out-of-range number";
+    decoder.Feed(buf, 1);
+    std::string payload;
+    while (decoder.Pop(&payload) == FrameDecoder::Next::kFrame) {
+      auto response = DecodeResponse(payload);
+      ASSERT_TRUE(response.ok()) << response.status();
+      responses.push_back(std::move(response).value());
+    }
+  }
+  std::size_t rejected = 0;
+  for (const auto& response : responses) {
+    if (response.id == 6) {
+      auto expected = world_->engine().Ask(question);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      EXPECT_EQ(response.status, "ok") << response.error;
+      EXPECT_EQ(response.canonical,
+                core::CanonicalAskResultString(expected.value()));
+      continue;
+    }
+    ++rejected;
+    EXPECT_EQ(response.id, 0u);
+    EXPECT_EQ(response.status, "invalid_argument");
+    EXPECT_FALSE(response.error.empty());
+  }
+  EXPECT_EQ(rejected, bad.size());
+  EXPECT_EQ(server.value()->net_stats().bad_requests, bad.size());
+  EXPECT_EQ(server.value()->net_stats().protocol_errors, 0u);
+}
+
 TEST_F(NetServeTest, OversizedFrameClosesConnectionButServerSurvives) {
   NetServer::Options options;
   options.unix_path = SocketPath();

@@ -131,6 +131,63 @@ TEST(TopKTest, MergeIsScheduleIndependent) {
   }
 }
 
+// Block-local selection: offering candidates a block at a time through
+// PushBatch keeps exactly what pushing them one by one keeps, including
+// when a batch's scores tie with the heap's k-th entry and only the
+// smaller row id may displace it.
+TEST(TopKTest, PushBatchMatchesOneAtATimePushes) {
+  Rng rng(11);
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                        std::size_t{30}}) {
+    TopK batched(k);
+    TopK single(k);
+    std::vector<TopKEntry> batch;
+    for (std::size_t block = 0; block < 12; ++block) {
+      batch.clear();
+      const std::size_t n = static_cast<std::size_t>(rng.UniformInt(0, 90));
+      for (std::size_t i = 0; i < n; ++i) {
+        // Row ids fall and rise across blocks, and few distinct scores
+        // make ties at the threshold the common case.
+        const auto row = static_cast<RowId>(
+            block % 2 == 0 ? 5000 - block * 100 - i : block * 100 + i);
+        const double score = static_cast<double>(rng.UniformInt(0, 3)) / 2.0;
+        const auto tag = static_cast<std::uint32_t>(block);
+        batch.push_back(TopKEntry{score, row, tag});
+        single.Push(score, row, tag);
+      }
+      batched.PushBatch(batch.data(), batch.size());
+      ASSERT_EQ(batched.threshold(), single.threshold())
+          << "k=" << k << " block=" << block;
+    }
+    const auto want = single.Take();
+    const auto got = batched.Take();
+    ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].score, want[i].score) << "k=" << k << " i=" << i;
+      EXPECT_EQ(got[i].row, want[i].row) << "k=" << k << " i=" << i;
+      EXPECT_EQ(got[i].tag, want[i].tag) << "k=" << k << " i=" << i;
+    }
+  }
+}
+
+TEST(TopKTest, PushBatchTieAtThresholdAdmitsSmallerRowsOnly) {
+  TopK topk(3);
+  std::vector<TopKEntry> first = {
+      {1.0, 40, 0}, {1.0, 50, 0}, {2.0, 60, 0}, {1.0, 45, 0}, {1.0, 70, 0}};
+  EXPECT_TRUE(topk.PushBatch(first.data(), first.size()));
+  EXPECT_EQ(topk.threshold(), 1.0);
+  // All tie with the k-th entry (1.0, row 45): only rows below 45 enter.
+  std::vector<TopKEntry> second = {
+      {1.0, 46, 1}, {1.0, 44, 1}, {1.0, 90, 1}, {1.0, 3, 1}};
+  EXPECT_TRUE(topk.PushBatch(second.data(), second.size()));
+  const auto got = topk.Take();
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].row, 60u);
+  EXPECT_EQ(got[1].row, 3u);
+  EXPECT_EQ(got[2].row, 40u);
+  EXPECT_EQ(got[1].tag, 1u);
+}
+
 // ------------------------------------------------------- RankBounds unit
 
 TEST(RankBoundsTest, MiniCarBlockMetadata) {
@@ -750,6 +807,217 @@ TEST_F(BitmapDedupTest, LiveDeltaAndRetiredRowsShareTheMixedBlock) {
       EXPECT_NE(a.row, 17990u) << q;
     }
   }
+}
+
+// ------------------------------- candidate-proportional sweep edge cases
+
+/// An engine over `records` (MiniCar schema, one record per row id).
+class FleetEngine {
+ public:
+  explicit FleetEngine(std::vector<db::Record> records)
+      : table_(testing::MiniCarSchema()) {
+    for (auto& r : records) EXPECT_TRUE(table_.Insert(std::move(r)).ok());
+    table_.BuildIndexes();
+    EXPECT_TRUE(engine_.AddDomain(&table_, qlog::TiMatrix()).ok());
+  }
+  core::CqadsEngine& engine() { return engine_; }
+
+  core::AskResult Ask(const std::string& question) {
+    auto r = engine_.AskInDomain("cars", question);
+    EXPECT_TRUE(r.ok()) << question << ": " << r.status();
+    return r.ok() ? std::move(r).value() : core::AskResult();
+  }
+
+  /// Byte parity of `on` (serially, and on a 4-worker runner) against the
+  /// full-sort oracle under the same answer_cap / partial_trigger.
+  void ExpectParity(const std::vector<std::string>& questions,
+                    core::EngineOptions on, const char* label) {
+    std::vector<datagen::GeneratedQuestion> generated;
+    for (const auto& q : questions) {
+      datagen::GeneratedQuestion g;
+      g.text = q;
+      generated.push_back(std::move(g));
+    }
+    core::EngineOptions off = on;
+    off.use_topk_rank = false;
+    ExpectAskParity(engine_, "cars", generated, on, off,
+                    (std::string(label) + " serial").c_str());
+    serve::WorkerPool pool(4);
+    core::EngineOptions parallel_on = on;
+    parallel_on.exec_runner = &pool;
+    parallel_on.exec_parallelism = 4;
+    ExpectAskParity(engine_, "cars", generated, parallel_on, off,
+                    (std::string(label) + " parallel").c_str());
+  }
+
+ private:
+  db::Table table_;
+  core::CqadsEngine engine_;
+};
+
+/// 3072 rows, three rank blocks, for "9000 dollars" (no exact answers,
+/// k = 30). Block 1 holds the single best price (9050, row 1024) and
+/// otherwise 9100 everywhere, so it has the best bound and is visited
+/// first: its 1024 candidates reach the heap as one batch. Block 0 holds
+/// 9100 on even rows; its bound equals the threshold that block 1 leaves
+/// (the score of 9100), so it is visited too, and its smaller row ids
+/// must displace block 1's tied rows. Block 2 is far off and skipped.
+std::vector<db::Record> ThresholdTieFleet() {
+  std::vector<db::Record> records;
+  for (std::size_t i = 0; i < 3072; ++i) {
+    double price = 60000.0 + static_cast<double>(i);
+    if (i < 1024 && i % 2 == 0) price = 9100;
+    if (i >= 1024 && i < 2048) price = i == 1024 ? 9050 : 9100;
+    records.push_back(CarRecord(i % 2 == 0 ? "honda" : "toyota",
+                                i % 2 == 0 ? "civic" : "camry", 2005, price,
+                                50000, "blue", "automatic", "4 door",
+                                "2 wheel drive", "cd player"));
+  }
+  return records;
+}
+
+TEST(CandidateSweepTest, TiesAtTheThresholdAcrossOneBlockKeepSmallerRows) {
+  FleetEngine fleet(ThresholdTieFleet());
+  const core::AskResult r = fleet.Ask("9000 dollars");
+  ASSERT_EQ(r.exact_count, 0u);
+  ASSERT_EQ(r.answers.size(), 30u);
+  // The best score first, then the 29 smallest rows among the 9100 ties:
+  // all from block 0, although block 1 filled the heap before it.
+  EXPECT_EQ(r.answers[0].row, 1024u);
+  for (std::size_t i = 1; i < r.answers.size(); ++i) {
+    EXPECT_EQ(r.answers[i].row, static_cast<RowId>(2 * (i - 1))) << i;
+    EXPECT_EQ(r.answers[i].rank_sim, r.answers[1].rank_sim) << i;
+  }
+  EXPECT_EQ(r.stats.rank_blocks_visited, 2u);
+  EXPECT_EQ(r.stats.rank_blocks_skipped, 1u);
+  EXPECT_EQ(r.stats.rank_rows_pruned, 1024u);
+  fleet.ExpectParity({"9000 dollars", "9100 dollars", "honda 9000 dollars"},
+                     core::EngineOptions(), "tie");
+}
+
+/// 4000 rows: honda civic only on rows 1500..2599, so the drop-price pass
+/// of "honda civic ..." spans a word-unaligned sub-range across the block
+/// 1/2 boundary; prices rise with the row id, colors cycle over five.
+std::vector<db::Record> SubRangeFleet() {
+  static constexpr const char* kColors[] = {"blue", "red", "white", "black",
+                                            "silver"};
+  std::vector<db::Record> records;
+  for (std::size_t i = 0; i < 4000; ++i) {
+    const bool civic = i >= 1500 && i < 2600;
+    records.push_back(CarRecord(
+        civic ? "honda" : "toyota", civic ? "civic" : "camry",
+        2000 + static_cast<double>(i % 11),
+        2000.0 + 2.5 * static_cast<double>(i),
+        static_cast<double>(10 + i % 170) * 1000.0, kColors[i % 5],
+        i % 3 == 0 ? "manual" : "automatic", "4 door", "2 wheel drive",
+        "cd player"));
+  }
+  return records;
+}
+
+// A pass covering only part of the table is deduped and cut into runs over
+// its own words. Here the honda civic pass spans rows 1500..2599 while the
+// blue / cheap pass reaches rows on both sides of it, and the exact answers
+// are the few rows every pass shares; later, delta rows past base_rows join
+// the passes and some base rows in the span are retired.
+TEST(CandidateSweepTest, SubRangePassesAndDeltaRowsPastBaseRows) {
+  FleetEngine fleet(SubRangeFleet());
+  const std::vector<std::string> questions = {
+      "blue honda civic under 6000 dollars",
+      "honda civic 5000 dollars",
+      "honda civic manual under 5800 dollars",
+  };
+  for (const auto& q : questions) {
+    const core::AskResult r = fleet.Ask(q);
+    EXPECT_GT(r.answers.size(), r.exact_count) << q;  // partials ranked
+  }
+  EXPECT_GT(fleet.Ask(questions[0]).exact_count, 0u);
+  fleet.ExpectParity(questions, core::EngineOptions(), "sub-range base");
+
+  auto& engine = fleet.engine();
+  for (double price : {3000.0, 5100.0, 5900.0}) {
+    ASSERT_TRUE(engine
+                    .IngestAd("cars", CarRecord("honda", "civic", 2008, price,
+                                                50000, "blue", "manual",
+                                                "4 door", "2 wheel drive",
+                                                "cd player"))
+                    .ok());
+  }
+  ASSERT_TRUE(engine
+                  .IngestAd("cars", CarRecord("toyota", "camry", 2008, 4000,
+                                              50000, "blue", "automatic",
+                                              "4 door", "2 wheel drive",
+                                              "cd player"))
+                  .ok());
+  for (RowId row : {RowId{1500}, RowId{1505}, RowId{2599}}) {
+    ASSERT_TRUE(engine.RetireAd("cars", row).ok()) << row;
+  }
+  fleet.ExpectParity(questions, core::EngineOptions(), "sub-range delta");
+  bool delta_ranked = false;
+  for (const auto& q : questions) {
+    for (const auto& a : fleet.Ask(q).answers) {
+      EXPECT_NE(a.row, 1500u) << q;
+      EXPECT_NE(a.row, 1505u) << q;
+      EXPECT_NE(a.row, 2599u) << q;
+      delta_ranked = delta_ranked || (!a.exact && a.row >= 4000);
+    }
+  }
+  EXPECT_TRUE(delta_ranked);
+}
+
+// answer_cap below partial_trigger: a question whose exact answers fill the
+// cap still reaches the rank stage, with k = 0. Every prunable run is
+// skipped (the threshold is +inf) and nothing ranks, as in the oracle.
+TEST(CandidateSweepTest, ZeroPartialSlotsRankNothing) {
+  FleetEngine fleet(SubRangeFleet());
+  core::EngineOptions options;
+  options.answer_cap = 3;
+  options.partial_trigger = 10;
+  const std::vector<std::string> questions = {
+      "blue honda civic under 6000 dollars",
+      "honda civic 5000 dollars",
+      "blue honda civic",
+      "2250 dollars",
+  };
+  fleet.engine().SetOptions(options);
+  std::size_t zero_k = 0;
+  for (const auto& q : questions) {
+    const core::AskResult r = fleet.Ask(q);
+    EXPECT_LE(r.answers.size(), 3u) << q;
+    if (r.exact_count == 3) {
+      ++zero_k;
+      EXPECT_EQ(r.answers.size(), 3u) << q;
+      EXPECT_EQ(r.stats.rank_threshold_updates, 0u) << q;
+    }
+  }
+  EXPECT_GT(zero_k, 0u);
+  fleet.ExpectParity(questions, options, "k = 0");
+}
+
+// A composite identity unit (make + model read together) has no block
+// bounds, so the serial loop walks every run in block order and skips
+// none — for the single-condition sweep and for the N-1 pass that drops
+// that unit alike.
+TEST(CandidateSweepTest, UnprunableUnitVisitsEveryRunOnTheSerialLoop) {
+  FleetEngine fleet(SubRangeFleet());
+  // Single condition: the whole-table sweep, four runs.
+  const core::AskResult single = fleet.Ask("toyota civic");
+  EXPECT_EQ(single.exact_count, 0u);
+  EXPECT_EQ(single.stats.rank_blocks_visited, 4u);  // ceil(4000 / 1024)
+  EXPECT_EQ(single.stats.rank_blocks_skipped, 0u);
+  // N-1: dropping make + model leaves "under 9000 dollars", rows 0..2799
+  // in three runs, well past the size where bounds would be computed; the
+  // drop-price pass (toyota civic) is empty.
+  const core::AskResult relaxed = fleet.Ask("toyota civic under 9000 dollars");
+  EXPECT_EQ(relaxed.exact_count, 0u);
+  EXPECT_EQ(relaxed.answers.size(), 30u);
+  EXPECT_EQ(relaxed.stats.rank_blocks_visited, 3u);
+  EXPECT_EQ(relaxed.stats.rank_blocks_skipped, 0u);
+  EXPECT_EQ(relaxed.stats.rank_rows_pruned, 0u);
+  fleet.ExpectParity({"toyota civic", "toyota civic under 9000 dollars",
+                      "honda camry under 9000 dollars",
+                      "honda camry 3000 dollars"},
+                     core::EngineOptions(), "unprunable");
 }
 
 // ------------------------------------------- parallel sweeps (big domain)
